@@ -53,7 +53,7 @@ func main() {
 		metrics  = flag.Bool("metrics", false, "print the metrics registry and per-phase timeline")
 		energy   = flag.Bool("energy", false, "print the energy summary (tx=1, listen=0.5 per slot)")
 		benchK   = flag.Bool("bench-kernel", false, "time the CSR kernel against the reference slot loop on this deployment and exit")
-		tile     = flag.Int("tile", 0, "tiled slot kernel: -1 picks a tile count (~32k-node tiles), >1 fixes it, 0 untiled; first renumbers the deployment along the spatial locality pass, so printed node ids follow the relabeled order")
+		tile     = flag.Int("tile", 0, "tiled slot kernel: -1 picks a tile count (~32k-node tiles), >1 fixes it, 0 or 1 one tile; first renumbers the deployment along the spatial locality pass, so printed node ids follow the relabeled order")
 		faults   = flag.String("faults", "", "inject faults, e.g. loss=0.05,burst=0.1/64,crash=3@500:900,jam=100:400,skew=0.25 (seed= defaults to -seed)")
 		churnF   = flag.String("churn", "", "dynamic topology, e.g. join=3@500,leave=7@900,move=0@1000:2:2,every=16,repair=retract|none (node ids follow -tile relabeling when tiled)")
 		mediumF  = flag.String("medium", "", "reception model: graph | sinr,alpha=4,beta=1.5,noise=-90 | multichannel,k=4 (empty = built-in graph rule)")
@@ -86,7 +86,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *tile < -1 {
-		fmt.Fprintf(os.Stderr, "colorsim: invalid -tile %d (want -1 for auto, 0 for off, or a tile count)\n", *tile)
+		fmt.Fprintf(os.Stderr, "colorsim: invalid -tile %d (want -1 for auto, 0 for one tile, or a tile count)\n", *tile)
 		os.Exit(2)
 	}
 	if *tile != 0 && *tile != 1 {

@@ -121,10 +121,10 @@ func TestE12Smoke(t *testing.T) { checkTable(t, E12Messages(quickOpts()), 3) }
 func TestE26Smoke(t *testing.T) {
 	tb := E26TiledKernel(quickOpts())
 	checkTable(t, tb, 2)
-	// Field-for-field identity between the tiled and untiled runs is
+	// Field-for-field identity between the tiled and one-tile runs is
 	// the experiment's contract at every scale, including smoke scale.
 	if !strings.Contains(tb.String(), "/1") || strings.Contains(tb.String(), "0/1") {
-		t.Errorf("tiled run not identical to untiled:\n%s", tb)
+		t.Errorf("tiled run not identical to one tile:\n%s", tb)
 	}
 }
 

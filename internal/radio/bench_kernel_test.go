@@ -206,8 +206,9 @@ func (w kernelWorkload) protocols() []radio.Protocol {
 type stepper interface{ Step() bool }
 
 // Engine variants measured by the bench: the retained seed loop, the
-// untiled CSR kernel, and the tiled CSR kernel (Hilbert-blocked tiles
-// plus the Quiescent seam the synthetic protocol declares).
+// CSR slot loop at one tile, and the same loop over several
+// Hilbert-blocked tiles. Both CSR columns use the Quiescent seam the
+// synthetic protocol declares.
 const (
 	benchRef = iota
 	benchCSR

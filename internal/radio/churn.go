@@ -153,15 +153,13 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 
 		// Edge delta: the dynamic CSR mutates its row-bound headers in
 		// place (the engine's rowStart/rowEnd alias them), but the edge
-		// array may have been reallocated by a row relocation. The tiled
-		// kernel additionally re-derives the changed rows' intra-tile
+		// array may have been reallocated by a row relocation. The tile
+		// partition additionally re-derives the changed rows' intra-tile
 		// spans.
 		if !b.Delta.Empty() {
 			_, cs.touched = cs.dyn.Apply(b.Delta, cs.touched[:0])
 			e.edges = cs.dyn.EdgeArray()
-			if e.ts != nil {
-				e.ts.refreshRows(cs.touched, e.rowStart, e.rowEnd, e.edges)
-			}
+			e.ts.refreshRows(cs.touched, e.rowStart, e.rowEnd, e.edges)
 		}
 
 		// Joins: the node enters (or re-enters) as a fresh wake-up, with
@@ -239,8 +237,8 @@ func (e *Engine) churnBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 		e.undecided = mergeSorted(e.undecided, e.rejoinU)
 	}
 	if len(e.rejoinA) > 0 {
-		// The pending list is sorted at flush time (untiled) or per-slot
-		// suffix merge (tiled), so insertion order is free.
+		// The pending list's unsorted tail is sorted and merged at the
+		// start of the sweeps, so insertion order is free.
 		e.pending = append(e.pending, e.rejoinA...)
 	}
 }

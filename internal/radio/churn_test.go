@@ -271,7 +271,7 @@ func planWithConflictEdge(t *testing.T, g *graph.Graph) *churn.Plan {
 
 func TestChurnBitIdenticalAcrossWorkersAndTiles(t *testing.T) {
 	// One fixed schedule, four engine shapes: results must match
-	// bit-for-bit at any worker count and tiled vs untiled.
+	// bit-for-bit at any worker and tile count.
 	const n = 64
 	g := line(n)
 	sched := &churn.Schedule{

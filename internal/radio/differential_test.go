@@ -236,3 +236,101 @@ func (p *scriptedDiffProto) Send(slot int64) radio.Message {
 }
 func (p *scriptedDiffProto) Recv(slot int64, msg radio.Message) { p.recvs++ }
 func (p *scriptedDiffProto) Done() bool                         { return p.local >= int64(len(p.script)) }
+
+// traceEvent is one entry of a whole-run event stream: an Observer
+// callback or a protocol phase transition, in emission order.
+type traceEvent struct {
+	kind    string
+	slot    int64
+	node    int32
+	a, b, c int32 // transmitters (collision); from, to, class (phase)
+}
+
+// streamRecorder appends every Observer callback and every phase-hook
+// transition to one ordered stream.
+type streamRecorder struct{ evs []traceEvent }
+
+func (r *streamRecorder) add(kind string, slot int64, node int32, a, b, c int32) {
+	r.evs = append(r.evs, traceEvent{kind, slot, node, a, b, c})
+}
+func (r *streamRecorder) OnSlot(slot int64) { r.add("slot", slot, -1, 0, 0, 0) }
+func (r *streamRecorder) OnWake(slot int64, node radio.NodeID) {
+	r.add("wake", slot, int32(node), 0, 0, 0)
+}
+func (r *streamRecorder) OnTransmit(slot int64, from radio.NodeID, _ radio.Message) {
+	r.add("tx", slot, int32(from), 0, 0, 0)
+}
+func (r *streamRecorder) OnDeliver(slot int64, to radio.NodeID, msg radio.Message) {
+	r.add("rx", slot, int32(to), int32(msg.Sender()), 0, 0)
+}
+func (r *streamRecorder) OnCollision(slot int64, at radio.NodeID, transmitters int) {
+	r.add("col", slot, int32(at), int32(transmitters), 0, 0)
+}
+func (r *streamRecorder) OnDecide(slot int64, node radio.NodeID) {
+	r.add("decide", slot, int32(node), 0, 0, 0)
+}
+func (r *streamRecorder) onPhase(slot int64, node int32, from, to core.Phase, class int32) {
+	r.add("phase", slot, node, int32(from), int32(to), class)
+}
+
+// recordStream runs one diff case at Workers = 1 with every event seam
+// recording into one stream.
+func recordStream(t *testing.T, c diffCase, reference bool) []traceEvent {
+	t.Helper()
+	par := diffParams(c.g)
+	nodes, protos := core.Nodes(c.g.N(), c.seed, par, core.Ablation{})
+	rec := &streamRecorder{}
+	for _, v := range nodes {
+		v.SetPhaseHook(rec.onPhase)
+	}
+	cfg := radio.Config{
+		G: c.g, Protocols: protos, Wake: c.wake,
+		MaxSlots: diffBudget, NEstimate: par.N,
+		DropProb: c.drop, DropSeed: c.seed, CaptureProb: c.capture,
+		Observer: rec, Workers: 1,
+	}
+	var err error
+	if reference {
+		_, err = radio.RunReference(cfg)
+	} else {
+		_, err = radio.Run(cfg)
+	}
+	if err != nil {
+		t.Fatalf("%s reference=%v: %v", c.name, reference, err)
+	}
+	return rec.evs
+}
+
+// TestTracedStreamMatchesReference pins the one-tile slot loop's whole
+// traced execution to the seed loop, event for event: wake, transmit,
+// deliver, collision, decide and slot callbacks plus the protocol's
+// phase transitions, interleaved in one stream. Transmissions are
+// reported after every Send of the slot (so phase changes made inside
+// Send precede them), deliveries in first-touch order, decisions in
+// ascending id order.
+func TestTracedStreamMatchesReference(t *testing.T) {
+	kinds := map[string]bool{}
+	for _, c := range diffCases(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			ref := recordStream(t, c, true)
+			got := recordStream(t, c, false)
+			for i := 0; i < len(ref) && i < len(got); i++ {
+				if got[i] != ref[i] {
+					t.Fatalf("event %d diverged: reference %+v, engine %+v", i, ref[i], got[i])
+				}
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("stream length %d, reference %d", len(got), len(ref))
+			}
+			for _, ev := range ref {
+				kinds[ev.kind] = true
+			}
+		})
+	}
+	for _, k := range []string{"slot", "wake", "tx", "rx", "col", "decide", "phase"} {
+		if !kinds[k] {
+			t.Errorf("no %q events in any case; stream differential is vacuous", k)
+		}
+	}
+}

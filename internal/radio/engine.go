@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"radiocolor/internal/churn"
 	"radiocolor/internal/fault"
@@ -28,14 +27,15 @@ type Config struct {
 	// Observer receives trace events. nil (the default) disables the
 	// seam entirely: the engines branch on nil per event and allocate
 	// nothing. Combine several observers with Observers. A non-nil
-	// Observer also keeps the deliver phase sequential under Workers > 1
-	// so that traced event streams stay fully ordered.
+	// Observer runs the slot loop sequentially (Workers is ignored), so
+	// a traced stream is fully ordered; at Tiles <= 1 it is the reference
+	// engine's stream event for event.
 	Observer Observer
 	// Metrics, when non-nil, receives atomic event counters (see
 	// internal/obs). Like Observer, nil costs one branch per event.
 	// Metrics is independent of Observer so a shared registry can
 	// aggregate across concurrent runs without any fan-out indirection.
-	// Being atomic, Metrics does not force the sequential deliver path.
+	// Being atomic, Metrics does not force a sequential slot loop.
 	Metrics *obs.Metrics
 	// NEstimate is the network-size estimate used for message-size
 	// accounting (default G.N()).
@@ -90,31 +90,28 @@ type Config struct {
 	// retraction repair additionally needs Colored, and a node cannot be
 	// both a fault crash/restart victim and a churn subject.
 	Churn *churn.Plan
-	// Workers > 1 runs the per-slot Send, resolve and deliver phases on
-	// that many goroutines. Results are bit-identical to the sequential
-	// engine: every node owns an independent random stream, the resolve
-	// phase partitions the transmitters' CSR edge ranges and merges the
-	// per-worker (count, lowest sender) accumulators deterministically
-	// (sum and min are order-free), and the deliver phase partitions
-	// receivers, which never share protocol state.
+	// Workers > 1 runs each slot's two tile sweeps (see Tiles) on that
+	// many goroutines, with tiles handed out dynamically. Results are
+	// bit-identical to a sequential run: every node owns an independent
+	// random stream, tiles write only tile-owned state, and every merge
+	// across tiles is order-free (counts add, the winning sender is a
+	// min). With Tiles <= 1, Workers > 1 partitions the caller's ids
+	// into min(Workers, n) tiles so there is work to share.
 	Workers int
-	// Tiles > 1 runs the cache-aware tiled slot loop (tiled.go): node
-	// ids are partitioned into Tiles contiguous blocks, each slot makes
-	// two tile-major sweeps (Send + intra-tile resolve, then a
-	// boundary-exchange merge of cross-tile edges + deliver + decide),
-	// and under Workers > 1 the tiles run on independent goroutines.
-	// Results are bit-identical to the untiled engine at any tile and
-	// worker count — every merge is order-free — which the tiled
-	// differential suite pins. Tiling pays off when ids are spatially
-	// coherent (relabel with internal/graph HilbertOrder/StripOrder/
-	// BFSOrder first) so that most edges stay inside a tile. Tiles < 0
-	// picks a size-based tile count automatically (AutoTiles); 0 or 1
-	// keeps the untiled loop. A non-nil Medium replaces the resolve and
-	// deliver phases wholesale, so tiled runs with a medium fall back to
-	// the untiled loop (same results either way). Within a slot a traced
-	// tiled run emits OnDeliver/OnCollision events grouped by tile
-	// rather than in the untiled order; all other event streams, and
-	// every Result field, are identical.
+	// Tiles partitions node ids into that many contiguous blocks (see
+	// tiled.go). Each slot makes two tile-major sweeps: Send plus the
+	// intra-tile resolve, then a boundary-exchange merge of cross-tile
+	// edges plus deliver and decide. Results are bit-identical at any
+	// tile and worker count, which the tiled differential suite pins.
+	// Tiling pays off when ids are spatially coherent (relabel with
+	// internal/graph HilbertOrder/StripOrder/BFSOrder first) so that
+	// most edges stay inside a tile. Tiles < 0 picks a size-based count
+	// (AutoTiles); 0 and 1 mean one tile, the degenerate case with no
+	// buckets and no boundary exchange. A non-nil Medium resolves the
+	// whole slot's transmitter list itself, between the two sweeps.
+	// Within a slot a traced run with several tiles emits
+	// OnDeliver/OnCollision events grouped by tile; all other event
+	// streams, and every Result field, do not depend on the tiling.
 	Tiles int
 }
 
@@ -157,14 +154,17 @@ type Engine struct {
 	// matters: protocol state and per-node RNG arrays are allocated
 	// node-by-node, so an ascending sweep is a regular-stride memory
 	// walk the prefetcher can follow, while wake-order iteration is a
-	// random permutation that stalls on every node at large n. tx holds
-	// this slot's transmitters; awakeList every awake node (newly woken
-	// ids are merged in, staying sorted); undecided the awake nodes that
-	// have not decided, compacted stably in place as decisions land.
-	tx        []int32
-	awakeList []int32
-	pending   []int32 // recently woken, not yet merged into awakeList
-	undecided []int32
+	// random permutation that stalls on every node at large n.
+	// awakeList holds every awake node; pending the recently woken ones
+	// not yet merged into it (its first pendingSorted entries are known
+	// ascending, pendScratch is the merge buffer); undecided the awake
+	// nodes that have not decided, compacted stably in place as
+	// decisions land.
+	awakeList     []int32
+	pending       []int32
+	pendingSorted int
+	pendScratch   []int32
+	undecided     []int32
 
 	// Per-slot receive scratch. The between-slot invariant: count == 0
 	// for awake listeners, count == asleepCount for asleep nodes (set at
@@ -176,11 +176,17 @@ type Engine struct {
 	// Packing (from, count) into one 8-byte struct makes the resolve
 	// phase's random accesses as dense as possible: eight receivers per
 	// cache line.
-	rs      []recvSlot
-	touched []int32
+	rs []recvSlot
 
-	// Parallel-phase scratch, allocated on first use when Workers > 1.
-	scratch []resolveScratch
+	// Tile partition and per-tile sweep scratch (tiled.go); nil only on
+	// the RunUnaligned path, whose half-slot loop does not use it.
+	ts *tileState
+	// silent marks nodes whose protocols declared permanent quiescence
+	// (see the Quiescent interface); the Send sweep skips them and the
+	// activity lists compact them away. nil unless some protocol
+	// implements Quiescent and neither faults nor churn are set.
+	silent      []bool
+	silentCount int
 
 	// Fault-injection state; nil unless Config.Faults is set (fault.go).
 	fs *faultState
@@ -207,26 +213,15 @@ type Engine struct {
 	rejoinU []int32
 	rejoinA []int32
 
-	// Tiled-kernel state; nil unless Config.Tiles > 1 selected the tiled
-	// slot loop (tiled.go). silent marks nodes whose protocols declared
-	// permanent quiescence (see the Quiescent interface); the tiled Send
-	// sweep skips them and the activity lists compact them away.
-	ts          *tileState
-	silent      []bool
-	silentCount int
-	// pendingSorted is the length of pending's known-sorted prefix and
-	// pendScratch the merge buffer; both are tiled-loop-only (the
-	// untiled loop sorts pending once, at flush time).
-	pendingSorted int
-	pendScratch   []int32
-
 	// Reception-medium state; nil unless Config.Medium is set
 	// (medium.go). listenFn is the standing listener predicate handed to
-	// the medium (built once, so the slot loop allocates no closures) and
-	// recs the reusable reception buffer.
+	// the medium (built once, so the slot loop allocates no closures),
+	// recs the reusable reception buffer and tx the slot's transmitters
+	// gathered across tiles.
 	med      medium.Instance
 	listenFn func(int32) bool
 	recs     []medium.Reception
+	tx       []int32
 }
 
 // recvSlot is one receiver's per-slot resolve accumulator. The
@@ -251,22 +246,15 @@ const asleepCount = -1 << 30
 // outbox check; the per-slot tx sweep restores the entries to 0.
 const txMarker = -1 << 28
 
-// resolveScratch is one worker's private accumulator for the parallel
-// resolve phase.
-type resolveScratch struct {
-	rs      []recvSlot
-	touched []int32
-	cleared []int32
-}
-
 // NewEngine validates the configuration and prepares a run.
 func NewEngine(cfg Config) (*Engine, error) {
 	return newEngine(cfg, false)
 }
 
-// newEngine is NewEngine plus the skew escape hatch used by
-// RunUnaligned, which is the only engine that models clock offsets.
-func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
+// newEngine is NewEngine for the aligned slot loop (unaligned false) or
+// for RunUnaligned, the only engine that models clock offsets; the
+// latter gets no tile state.
+func newEngine(cfg Config, unaligned bool) (*Engine, error) {
 	if err := validateConfig(&cfg); err != nil {
 		return nil, err
 	}
@@ -295,14 +283,14 @@ func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
 		e.everWoke = make([]bool, n)
 	}
 	if cfg.Faults != nil {
-		fs, err := newFaultState(cfg.Faults, &e.cfg, n, allowSkew)
+		fs, err := newFaultState(cfg.Faults, &e.cfg, n, unaligned)
 		if err != nil {
 			return nil, err
 		}
 		e.fs = fs
 	}
 	if cfg.Churn != nil {
-		if allowSkew {
+		if unaligned {
 			return nil, errors.New("radio: churn cannot run through RunUnaligned (the half-slot resolver has a static neighbor view)")
 		}
 		cs, err := newChurnState(cfg.Churn, &e.cfg, n)
@@ -331,21 +319,21 @@ func newEngine(cfg Config, allowSkew bool) (*Engine, error) {
 		// transmitters txMarker during the slot).
 		e.listenFn = func(i int32) bool { return e.rs[i].count == 0 }
 	}
-	if cfg.Tiles > 1 && e.med == nil {
-		// A pluggable medium replaces the resolve and deliver phases
-		// wholesale, so there is nothing left to tile; such runs keep
-		// the untiled loop (bit-identical either way).
-		e.ts = newTileState(cfg.Tiles, n, e.rowStart, e.rowEnd, e.edges)
-		if cfg.Faults == nil && cfg.Churn == nil {
-			// The quiescence seam (tiled.go): allocated up front so
-			// parallel tile workers never race to create it. Fault and
-			// churn profiles disable it — a restart or rejoin must be
-			// able to revive any node, and revived nodes re-enter via
-			// the pending list only if they never left the activity
-			// lists (conflict repair likewise re-contends a silenced
-			// node).
-			e.silent = make([]bool, n)
-		}
+	if unaligned {
+		return e, nil
+	}
+	ts := newTileState(cfg.Tiles, n, e.rowStart, e.rowEnd, e.edges)
+	ts.workers = min(cfg.Workers, ts.tiles)
+	ts.fuse = ts.tiles > 1 && cfg.Observer == nil && cfg.Medium == nil
+	e.ts = ts
+	if cfg.Faults == nil && cfg.Churn == nil && anyQuiescent(cfg.Protocols) {
+		// The quiescence seam (tiled.go): allocated up front so parallel
+		// tile workers never race to create it. Fault and churn profiles
+		// disable it — a restart or rejoin must be able to revive any
+		// node, and revived nodes re-enter via the pending list only if
+		// they never left the activity lists (conflict repair likewise
+		// re-contends a silenced node).
+		e.silent = make([]bool, n)
 	}
 	return e, nil
 }
@@ -374,18 +362,16 @@ func validateConfig(cfg *Config) error {
 	if cfg.NEstimate <= 0 {
 		cfg.NEstimate = n
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
+	if cfg.Workers <= 0 || cfg.Observer != nil {
+		cfg.Workers = 1 // a traced run is sequential (see Config.Observer)
 	}
 	if cfg.Tiles < 0 {
 		cfg.Tiles = AutoTiles(n)
 	}
-	if cfg.Tiles > maxTiles {
-		cfg.Tiles = maxTiles
+	if cfg.Tiles <= 1 {
+		cfg.Tiles = cfg.Workers // one tile, or one per worker
 	}
-	if cfg.Tiles > n {
-		cfg.Tiles = n
-	}
+	cfg.Tiles = max(1, min(cfg.Tiles, maxTiles, n))
 	return nil
 }
 
@@ -454,191 +440,150 @@ func (e *Engine) captured(slot int64, receiver int32) bool {
 
 // Step simulates one slot. It returns false when the run is over
 // (everyone decided or the slot limit was reached).
+//
+// The slot runs over the tile partition (tiled.go) in two tile-major
+// sweeps: sweep 1 ticks each tile's awake nodes and resolves their
+// transmissions, sweep 2 folds the boundary exchange, delivers, and
+// detects decisions. At one tile this is the model's plain phase
+// sequence — wake, Send, resolve, deliver, decide — over the whole
+// network. A pluggable medium resolves and delivers the slot's full
+// transmitter list between the sweeps instead.
 func (e *Engine) Step() bool {
-	if e.ts != nil {
-		return e.stepTiled()
-	}
 	t := e.slot
 	ob := e.cfg.Observer
 	met := e.cfg.Metrics
+	ts := e.ts
 
 	e.wakePhase(t, ob, met)
-	// A traced run flushes every slot so OnTransmit events keep the
-	// reference's ascending-id order; so does the parallel path, whose
-	// workers partition one list, and the medium path, which needs the
-	// transmitter list in ascending order so float accumulation (SINR)
-	// is bit-identical at any worker count.
-	if len(e.pending) > 0 &&
-		(e.cfg.Workers > 1 || ob != nil || e.med != nil ||
-			len(e.pending) >= 256 && len(e.pending)*8 >= len(e.awakeList)) {
-		sortInt32s(e.pending)
-		e.awakeList = mergeSorted(e.awakeList, e.pending)
-		e.pending = e.pending[:0]
-	}
+	e.mergePending(ob != nil || e.med != nil)
 
-	// Send phase: every awake node ticks and chooses transmit/listen.
-	// Iterating the sorted awake list touches exactly the awake nodes in
-	// ascending order; protocols are independent state machines, so call
-	// order within a slot cannot influence results. Transmission
-	// bookkeeping (counters, max message size, events) is order-free and
-	// fused into the same sweep.
-	if e.cfg.Workers > 1 {
-		e.parallelSend(t, e.awakeList)
-		for _, v := range e.tx {
-			e.noteTx(t, v, e.out[v], ob, met)
-		}
-	} else if e.off != nil {
-		e.filteredSend(t, ob, met)
-	} else {
-		protos := e.cfg.Protocols
-		for _, i := range e.awakeList {
-			if msg := protos[i].Send(t); msg != nil {
-				e.out[i] = msg
-				e.rs[i].count = txMarker
-				e.tx = append(e.tx, i)
-				e.noteTx(t, i, msg, ob, met)
-			}
-		}
-		for _, i := range e.pending {
-			if msg := protos[i].Send(t); msg != nil {
-				e.out[i] = msg
-				e.rs[i].count = txMarker
-				e.tx = append(e.tx, i)
-				e.noteTx(t, i, msg, ob, met)
-			}
-		}
-	}
-
-	// Resolve phase: accumulate per-receiver transmitting-neighbor counts
-	// and the lowest-indexed transmitter into the per-slot scratch. A
-	// pluggable medium replaces both this and the deliver phase below;
-	// the cleanup after them is shared.
-	if e.med != nil {
-		e.mediumResolveDeliver(t, ob, met)
-	} else if e.cfg.Workers > 1 && len(e.tx) > 1 {
-		e.parallelResolve()
-	} else {
-		for _, v := range e.tx {
-			row := e.edges[e.rowStart[v]:e.rowEnd[v]]
-			for _, u := range row {
-				r := &e.rs[u]
-				if r.count == 0 {
-					r.count = 1
-					r.from = v
-					e.touched = append(e.touched, u)
-				} else if r.count > 0 {
-					r.count++
-					if v < r.from {
-						r.from = v
-					}
-				}
-				// count < 0: asleep (standing asleepCount) or
-				// transmitting (txMarker) — not a listener; the entry is
-				// left untouched, so there is nothing to restore.
-			}
-		}
-	}
-
-	// Deliver phase: exactly-one rule at awake listeners. The delivered
-	// message is recovered from the sender's outbox (out is cleared only
-	// after this phase), so no per-receiver message scratch exists. Each
-	// touched rs entry is zeroed here, while its line is in hand,
-	// restoring the between-slot count == 0 invariant.
-	if e.cfg.Workers > 1 && ob == nil && len(e.touched) > 1 {
-		e.parallelDeliver(t)
-	} else {
-		for _, u := range e.touched {
-			r := &e.rs[u]
-			count, from := r.count, r.from
-			r.count = 0
-			if count >= 2 {
-				if count == 2 && e.captured(t, u) {
-					if e.fs != nil && e.faultSuppressed(t, from, u, &e.res.Jammed, &e.res.Lost, met) {
-						continue
-					}
-					// Capture effect: the lowest-indexed transmitter's
-					// signal survives the two-way collision.
-					e.res.Deliveries++
-					e.res.Captures++
-					msg := e.out[from]
-					if ob != nil {
-						ob.OnDeliver(t, NodeID(u), msg)
-					}
-					if met != nil {
-						met.AddDelivery()
-						met.AddCapture()
-					}
-					e.cfg.Protocols[u].Recv(t, msg)
-					continue
-				}
-				e.res.Collisions++
-				if ob != nil {
-					ob.OnCollision(t, NodeID(u), int(count))
-				}
-				if met != nil {
-					met.AddCollision()
-				}
-				continue
-			}
-			if e.fs != nil && e.faultSuppressed(t, from, u, &e.res.Jammed, &e.res.Lost, met) {
-				continue
-			}
-			if e.dropped(t, u) {
-				if met != nil {
-					met.AddDrop()
-				}
-				continue
-			}
-			e.res.Deliveries++
-			msg := e.out[from]
-			if ob != nil {
-				ob.OnDeliver(t, NodeID(u), msg)
-			}
-			if met != nil {
-				met.AddDelivery()
-			}
-			e.cfg.Protocols[u].Recv(t, msg)
-		}
-	}
-	e.touched = e.touched[:0]
-	for _, v := range e.tx {
-		e.out[v] = nil
-		e.rs[v].count = 0 // transmitters return to the awake-idle state
-	}
-	e.tx = e.tx[:0]
-
-	// Decision detection over the compact undecided list. The
-	// filtered variant keeps crashed and absent nodes in the list
-	// (they may restart or rejoin) without polling them.
-	if e.off != nil {
-		e.filteredDecide(t, ob, met)
-	} else {
+	// Quiescence compaction: once a quarter of the awake list is
+	// permanently silent, rewrite it without those nodes (silent nodes
+	// are never in pending — they quiesced after waking). Amortized
+	// O(1) per silenced node; the silent flags stay set (the nodes
+	// remain valid listeners for the resolve phase).
+	if e.silentCount > 0 && e.silentCount*4 >= len(e.awakeList)+len(e.pending) {
+		sil := e.silent
 		w := 0
-		protos := e.cfg.Protocols
-		for _, i := range e.undecided {
-			if protos[i].Done() {
-				e.decided[i] = true
-				e.numDone++
-				e.res.DecideSlot[i] = t
-				if ob != nil {
-					ob.OnDecide(t, NodeID(i))
-				}
-				if met != nil {
-					met.AddDecision()
-				}
-			} else {
-				e.undecided[w] = i
+		for _, i := range e.awakeList {
+			if !sil[i] {
+				e.awakeList[w] = i
 				w++
 			}
 		}
-		e.undecided = e.undecided[:w]
+		e.awakeList = e.awakeList[:w]
+		e.silentCount = 0
+	}
+
+	ts.segment(e.awakeList, ts.aSeg)
+	ts.segment(e.pending, ts.pSeg)
+	ts.segment(e.undecided, ts.uSeg)
+
+	// Sweep 1: Send + intra-tile resolve + boundary bucketing.
+	e.sweep(t, (*Engine).tileSendResolve)
+
+	// Counter-side transmission bookkeeping (PerNodeTx, message-size
+	// max) happened inside sweep 1 on tile-owned state; only the
+	// per-event seams need this sequential pass. It follows every Send
+	// of the slot, as in the reference engine, and is ascending on the
+	// traced path, where pending is always empty.
+	if ob != nil || met != nil {
+		for k := 0; k < ts.tiles; k++ {
+			for _, v := range ts.txs[k] {
+				if ob != nil {
+					ob.OnTransmit(t, NodeID(v), e.out[v])
+				}
+				if met != nil {
+					met.AddTransmission()
+				}
+			}
+		}
+	}
+
+	if e.med != nil {
+		// Media accumulate floats, so they see one ascending transmitter
+		// list (pending was merged above) whatever the tiling.
+		e.tx = e.tx[:0]
+		for k := 0; k < ts.tiles; k++ {
+			e.tx = append(e.tx, ts.txs[k]...)
+		}
+		e.mediumResolveDeliver(t, ob, met)
+	}
+
+	// Sweep 2: boundary exchange + deliver + decide.
+	e.sweep(t, (*Engine).tileDeliverDecide)
+
+	// Fold the per-tile tallies in tile order (sums are order-free).
+	for k := 0; k < ts.tiles; k++ {
+		tl := &ts.tallies[k]
+		e.res.Transmissions += int64(len(ts.txs[k]))
+		if tl.maxBits > e.res.MaxMessageBits {
+			e.res.MaxMessageBits = tl.maxBits
+		}
+		e.res.Deliveries += tl.deliveries
+		e.res.Captures += tl.captures
+		e.res.Collisions += tl.collisions
+		e.res.Jammed += tl.jammed
+		e.res.Lost += tl.lost
+		e.numDone += int(tl.decisions)
+		e.silentCount += int(tl.silenced)
+		*tl = tileTally{}
+	}
+
+	// Squash the per-tile undecided survivors back into one compact
+	// list. Tile k's survivors sit at [uSeg[k], uSeg[k]+uLen[k]); the
+	// forward copy is safe because the write cursor never passes a
+	// tile's own segment start.
+	w := ts.uLen[0]
+	for k := 1; k < ts.tiles; k++ {
+		w += copy(e.undecided[w:], e.undecided[ts.uSeg[k]:ts.uSeg[k]+ts.uLen[k]])
+	}
+	e.undecided = e.undecided[:w]
+
+	// Transmitter cleanup. Runs after both sweeps because a remote
+	// tile's deliver reads e.out[from] across the tile boundary.
+	for k := 0; k < ts.tiles; k++ {
+		for _, v := range ts.txs[k] {
+			e.out[v] = nil
+			e.rs[v].count = 0 // transmitters return to the awake-idle state
+		}
 	}
 
 	return e.finishSlot(t, ob, met)
 }
 
-// wakePhase applies the slot's fault events and wake-ups: the shared
-// head of the untiled and tiled slot loops.
+// mergePending keeps pending sorted and folds it into awakeList when
+// flush is set (a traced or medium run, whose transmitter lists must be
+// ascending) or once it exceeds an eighth of the merged list. The
+// sweeps walk per-tile segments of both sorted lists; rather than
+// re-sorting pending every slot, its sorted prefix length is tracked
+// and only this slot's appended block (one ascending wake run, plus
+// any restart rejoins) is sorted and merged in — O(|pending|) per
+// slot, and O(n) merge work over any wake ramp.
+func (e *Engine) mergePending(flush bool) {
+	if len(e.pending) == 0 {
+		return
+	}
+	if e.pendingSorted < len(e.pending) {
+		suffix := e.pending[e.pendingSorted:]
+		if !ascending32(suffix) {
+			sortInt32s(suffix)
+		}
+		if e.pendingSorted > 0 {
+			e.pendScratch = append(e.pendScratch[:0], suffix...)
+			e.pending = mergeSorted(e.pending[:e.pendingSorted], e.pendScratch)
+		}
+		e.pendingSorted = len(e.pending)
+	}
+	if flush || len(e.pending) >= 256 && len(e.pending)*8 >= len(e.awakeList) {
+		e.awakeList = mergeSorted(e.awakeList, e.pending)
+		e.pending = e.pending[:0]
+		e.pendingSorted = 0
+	}
+}
+
+// wakePhase applies the slot's churn batches, fault events and
+// wake-ups, sequentially, before any protocol ticks.
 func (e *Engine) wakePhase(t int64, ob Observer, met *obs.Metrics) {
 	// Topology batches (joins/leaves/edge deltas) and fault events
 	// (crash/restart) take effect at the start of the slot, before any
@@ -726,33 +671,15 @@ func (e *Engine) finishSlot(t int64, ob Observer, met *obs.Metrics) bool {
 	return e.slot < e.cfg.MaxSlots
 }
 
-// noteTx records one transmission: run counters, the maximum message
-// size, and the per-event seams. All of it is order-free (sums, maxes,
-// per-node counters), so it may run inside any Send sweep order.
-func (e *Engine) noteTx(t int64, v int32, msg Message, ob Observer, met *obs.Metrics) {
-	e.res.Transmissions++
-	e.res.PerNodeTx[v]++
-	if bits := msg.Bits(e.cfg.NEstimate); bits > e.res.MaxMessageBits {
-		e.res.MaxMessageBits = bits
-	}
-	if ob != nil {
-		ob.OnTransmit(t, NodeID(v), msg)
-	}
-	if met != nil {
-		met.AddTransmission()
-	}
-}
-
-// sortInt32s sorts ids ascending. Used on the pending wake list, which
-// is a concatenation of already-ascending per-slot blocks, just before
-// it is merged into the main awake list.
+// sortInt32s sorts ids ascending. Used on the out-of-order tail of the
+// pending wake list and on fault/churn rejoin blocks.
 func sortInt32s(ids []int32) {
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 }
 
 // ascending32 reports whether ids is already sorted ascending — true
-// for every wake block, so the tiled loop's incremental pending merge
-// only pays for a sort when fault restarts interleaved with wakes.
+// for every wake block, so the incremental pending merge only pays for
+// a sort when fault restarts or churn joins interleaved with wakes.
 func ascending32(ids []int32) bool {
 	for i := 1; i < len(ids); i++ {
 		if ids[i] < ids[i-1] {
@@ -782,231 +709,6 @@ func mergeSorted(dst, add []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// workerRanges splits [0, n) into at most workers contiguous ranges.
-func workerRanges(n, workers int) [][2]int {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var out [][2]int
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
-// parallelSend runs the Send phase over the awake nodes on Workers
-// goroutines. Each worker appends its transmitters to a private list;
-// the lists are concatenated in worker order, so tx is deterministic.
-func (e *Engine) parallelSend(t int64, awakeIDs []int32) {
-	off := e.off
-	ranges := workerRanges(len(awakeIDs), e.cfg.Workers)
-	txLocal := make([][]int32, len(ranges))
-	var wg sync.WaitGroup
-	for w, r := range ranges {
-		wg.Add(1)
-		go func(w int, ids []int32) {
-			defer wg.Done()
-			var local []int32
-			for _, i := range ids {
-				if off != nil && off[i] {
-					continue
-				}
-				if msg := e.cfg.Protocols[i].Send(t); msg != nil {
-					e.out[i] = msg
-					e.rs[i].count = txMarker // workers own disjoint ids
-					local = append(local, i)
-				}
-			}
-			txLocal[w] = local
-		}(w, awakeIDs[r[0]:r[1]])
-	}
-	wg.Wait()
-	for _, local := range txLocal {
-		e.tx = append(e.tx, local...)
-	}
-}
-
-// parallelResolve partitions the transmitters' concatenated CSR rows
-// into contiguous ranges of roughly equal edge count, lets each worker
-// accumulate (count, lowest sender) into private zero-invariant scratch,
-// and merges the partial accumulators sequentially. The merged state is
-// independent of the partition because counts add and senders take the
-// minimum — both order-free — so the result is bit-identical to the
-// sequential resolve for any worker count.
-func (e *Engine) parallelResolve() {
-	workers := e.cfg.Workers
-	if e.scratch == nil {
-		e.scratch = make([]resolveScratch, 0, workers)
-	}
-	for len(e.scratch) < workers {
-		e.scratch = append(e.scratch, resolveScratch{
-			rs: make([]recvSlot, e.n),
-		})
-	}
-
-	// Partition tx at row granularity by cumulative edge count.
-	total := 0
-	for _, v := range e.tx {
-		total += int(e.rowEnd[v] - e.rowStart[v])
-	}
-	target := (total + workers - 1) / workers
-	if target < 1 {
-		target = 1
-	}
-	type span struct{ lo, hi int }
-	var spans []span
-	lo, acc := 0, 0
-	for i, v := range e.tx {
-		acc += int(e.rowEnd[v] - e.rowStart[v])
-		if acc >= target && len(spans) < workers-1 {
-			spans = append(spans, span{lo, i + 1})
-			lo, acc = i+1, 0
-		}
-	}
-	if lo < len(e.tx) {
-		spans = append(spans, span{lo, len(e.tx)})
-	}
-
-	var wg sync.WaitGroup
-	for w, s := range spans {
-		wg.Add(1)
-		go func(ws *resolveScratch, txs []int32) {
-			defer wg.Done()
-			ws.touched = ws.touched[:0]
-			for _, v := range txs {
-				row := e.edges[e.rowStart[v]:e.rowEnd[v]]
-				for _, u := range row {
-					r := &ws.rs[u]
-					if r.count == 0 {
-						if !e.awake[u] {
-							r.count = asleepCount
-							ws.cleared = append(ws.cleared, u)
-							continue
-						}
-						r.count = 1
-						r.from = v
-						ws.touched = append(ws.touched, u)
-					} else {
-						r.count++
-						if v < r.from {
-							r.from = v
-						}
-					}
-				}
-			}
-		}(&e.scratch[w], e.tx[s.lo:s.hi])
-	}
-	wg.Wait()
-
-	// Deterministic merge in worker order; each worker entry is zeroed as
-	// it is folded in, restoring the workers' count == 0 invariant.
-	for w := range spans {
-		ws := &e.scratch[w]
-		for _, u := range ws.touched {
-			p := &ws.rs[u]
-			r := &e.rs[u]
-			if r.count == 0 {
-				*r = *p
-				e.touched = append(e.touched, u)
-			} else {
-				r.count += p.count
-				if p.from < r.from {
-					r.from = p.from
-				}
-			}
-			p.count = 0
-		}
-		for _, u := range ws.cleared {
-			ws.rs[u].count = 0
-		}
-		ws.cleared = ws.cleared[:0]
-	}
-}
-
-// deliverTally is one worker's share of the deliver-phase counters.
-type deliverTally struct {
-	deliveries, captures, collisions int64
-	jammed, lost                     int64
-}
-
-// parallelDeliver partitions the touched receivers across workers. A
-// receiver appears in touched exactly once (the first-touch count dedupes), so
-// no two workers ever call the same protocol, and all per-receiver
-// inputs (the rs accumulator, out, the drop and capture coins) are
-// read-only pure data. Counter partials are summed in worker order;
-// sums are order-free, so the totals match the sequential deliver
-// exactly. Only taken when Config.Observer is nil: a traced run keeps
-// the sequential path so its event stream stays fully ordered.
-func (e *Engine) parallelDeliver(t int64) {
-	met := e.cfg.Metrics
-	ranges := workerRanges(len(e.touched), e.cfg.Workers)
-	tallies := make([]deliverTally, len(ranges))
-	var wg sync.WaitGroup
-	for w, r := range ranges {
-		wg.Add(1)
-		go func(w int, us []int32) {
-			defer wg.Done()
-			var tl deliverTally
-			for _, u := range us {
-				r := &e.rs[u]
-				count, from := r.count, r.from
-				r.count = 0 // each receiver is in exactly one partition
-				if count >= 2 {
-					if count == 2 && e.captured(t, u) {
-						if e.fs != nil && e.faultSuppressed(t, from, u, &tl.jammed, &tl.lost, met) {
-							continue
-						}
-						tl.deliveries++
-						tl.captures++
-						if met != nil {
-							met.AddDelivery()
-							met.AddCapture()
-						}
-						e.cfg.Protocols[u].Recv(t, e.out[from])
-						continue
-					}
-					tl.collisions++
-					if met != nil {
-						met.AddCollision()
-					}
-					continue
-				}
-				if e.fs != nil && e.faultSuppressed(t, from, u, &tl.jammed, &tl.lost, met) {
-					continue
-				}
-				if e.dropped(t, u) {
-					if met != nil {
-						met.AddDrop()
-					}
-					continue
-				}
-				tl.deliveries++
-				if met != nil {
-					met.AddDelivery()
-				}
-				e.cfg.Protocols[u].Recv(t, e.out[from])
-			}
-			tallies[w] = tl
-		}(w, e.touched[r[0]:r[1]])
-	}
-	wg.Wait()
-	for _, tl := range tallies {
-		e.res.Deliveries += tl.deliveries
-		e.res.Captures += tl.captures
-		e.res.Collisions += tl.collisions
-		e.res.Jammed += tl.jammed
-		e.res.Lost += tl.lost
-	}
 }
 
 // Result returns the statistics accumulated so far. It is valid after

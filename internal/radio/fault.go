@@ -143,8 +143,8 @@ func (e *Engine) faultBeginSlot(t int64, ob Observer, met *obs.Metrics) {
 		e.undecided = mergeSorted(e.undecided, e.rejoinU)
 	}
 	if len(e.rejoinA) > 0 {
-		// The pending list is sorted at flush time, so insertion order
-		// is free.
+		// The pending list's unsorted tail is sorted and merged at the
+		// start of the sweeps, so insertion order is free.
 		e.pending = append(e.pending, e.rejoinA...)
 	}
 }
@@ -179,62 +179,6 @@ func (e *Engine) filteredWake(t int64, ob Observer, met *obs.Metrics) {
 	}
 }
 
-// filteredSend is the off-aware sequential Send sweep: identical to
-// the plain sweep but skipping crashed and absent nodes (their entries
-// remain in the lists; the off flags filter them).
-func (e *Engine) filteredSend(t int64, ob Observer, met *obs.Metrics) {
-	protos := e.cfg.Protocols
-	off := e.off
-	for _, i := range e.awakeList {
-		if off[i] {
-			continue
-		}
-		if msg := protos[i].Send(t); msg != nil {
-			e.out[i] = msg
-			e.rs[i].count = txMarker
-			e.tx = append(e.tx, i)
-			e.noteTx(t, i, msg, ob, met)
-		}
-	}
-	for _, i := range e.pending {
-		if off[i] {
-			continue
-		}
-		if msg := protos[i].Send(t); msg != nil {
-			e.out[i] = msg
-			e.rs[i].count = txMarker
-			e.tx = append(e.tx, i)
-			e.noteTx(t, i, msg, ob, met)
-		}
-	}
-}
-
-// filteredDecide is the off-aware decision sweep: crashed and absent
-// nodes stay in the undecided list (they may restart or rejoin) but
-// are never polled.
-func (e *Engine) filteredDecide(t int64, ob Observer, met *obs.Metrics) {
-	w := 0
-	protos := e.cfg.Protocols
-	off := e.off
-	for _, i := range e.undecided {
-		if !off[i] && protos[i].Done() {
-			e.decided[i] = true
-			e.numDone++
-			e.res.DecideSlot[i] = t
-			if ob != nil {
-				ob.OnDecide(t, NodeID(i))
-			}
-			if met != nil {
-				met.AddDecision()
-			}
-		} else {
-			e.undecided[w] = i
-			w++
-		}
-	}
-	e.undecided = e.undecided[:w]
-}
-
 // Reception-suppression classes, ordered by precedence: the adversary
 // (jam) beats the channel (loss), which beats the legacy DropProb coin
 // applied afterwards by the caller.
@@ -246,7 +190,7 @@ const (
 
 // suppression classifies why the fault layer kills an otherwise
 // successful reception at node to from node from. Pure and
-// allocation-free, so it is safe from any deliver worker.
+// allocation-free, so it is safe from any tile worker.
 func (fs *faultState) suppression(t int64, from, to int32) int {
 	if fs.inj.Jammed(t, to) {
 		return suppressJam
@@ -258,8 +202,8 @@ func (fs *faultState) suppression(t int64, from, to int32) int {
 }
 
 // faultSuppressed applies the suppression check to one reception,
-// counting the outcome into the given tallies (the sequential path
-// passes Result fields, the parallel path its worker-private tally).
+// counting the outcome into the given tallies (a tile's private tally,
+// or the Result fields on the sequential medium and unaligned paths).
 func (e *Engine) faultSuppressed(t int64, from, to int32, jammed, lost *int64, met *obs.Metrics) bool {
 	switch e.fs.suppression(t, from, to) {
 	case suppressJam:

@@ -344,6 +344,29 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestEmptyAndSingleNodeGraphs pins the degenerate sizes at every
+// tiling and worker setting: the tile partition must cope with zero
+// nodes (no tiles to divide them into) and with one, and either run
+// is over, with every node decided, after exactly one slot.
+func TestEmptyAndSingleNodeGraphs(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		for _, tiles := range []int{-1, 0, 1, 4} {
+			for _, workers := range []int{1, 4} {
+				_, cfg := buildScripted(line(n), make([][]bool, n), WakeSynchronous(n))
+				cfg.Tiles, cfg.Workers = tiles, workers
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("n=%d tiles=%d workers=%d: %v", n, tiles, workers, err)
+				}
+				if !res.AllDone || res.Slots != 1 {
+					t.Errorf("n=%d tiles=%d workers=%d: AllDone=%v after %d slots, want true after 1",
+						n, tiles, workers, res.AllDone, res.Slots)
+				}
+			}
+		}
+	}
+}
+
 func TestNodeRandStreamsDiffer(t *testing.T) {
 	a := NodeRand(1, 0)
 	b := NodeRand(1, 1)

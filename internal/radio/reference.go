@@ -1,9 +1,6 @@
 package radio
 
-import (
-	"errors"
-	"sync"
-)
+import "errors"
 
 // This file retains the pre-CSR slot loop — the seed implementation the
 // model semantics were originally validated against — as an executable
@@ -16,7 +13,9 @@ import (
 // benchmarks (bench_kernel_test.go, BENCH_kernel.json).
 
 // ReferenceEngine executes a Config with the original slice-based slot
-// loop. Its Result is bit-identical to Engine's on every input.
+// loop, always sequentially (Workers is ignored). Its Result is
+// bit-identical to Engine's on every input, and at one tile so is its
+// Observer event stream.
 type ReferenceEngine struct {
 	cfg     Config
 	n       int
@@ -96,13 +95,9 @@ func (e *ReferenceEngine) Step() bool {
 	}
 
 	// Send phase: every awake node ticks and chooses transmit/listen.
-	if e.cfg.Workers > 1 {
-		e.parallelSend(t)
-	} else {
-		for i := 0; i < e.n; i++ {
-			if e.awake[i] {
-				e.out[i] = e.cfg.Protocols[i].Send(t)
-			}
+	for i := 0; i < e.n; i++ {
+		if e.awake[i] {
+			e.out[i] = e.cfg.Protocols[i].Send(t)
 		}
 	}
 
@@ -214,32 +209,6 @@ func (e *ReferenceEngine) Step() bool {
 		return false
 	}
 	return e.slot < e.cfg.MaxSlots
-}
-
-func (e *ReferenceEngine) parallelSend(t int64) {
-	workers := e.cfg.Workers
-	chunk := (e.n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > e.n {
-			hi = e.n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if e.awake[i] {
-					e.out[i] = e.cfg.Protocols[i].Send(t)
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Result returns the statistics accumulated so far.

@@ -14,18 +14,20 @@ import (
 	"radiocolor/internal/topology"
 )
 
-// The tiled-kernel differential suite. The tiled slot loop (tiled.go)
-// reorders every per-slot accumulation — tile-major sweeps, a boundary
-// exchange for cross-tile edges, per-tile counter tallies — and all of
-// it is claimed order-free, so the contract is strict: for any tile and
-// worker count the tiled engine's Result and protocol outcomes are
-// bit-identical to the untiled kernel, with every seam (faults, drop/
-// capture coins, observers, media fallback) composed. The second axis
+// The tiled-kernel differential suite. The slot loop (tiled.go)
+// reorders every per-slot accumulation across tiles — tile-major
+// sweeps, a boundary exchange for cross-tile edges, per-tile counter
+// tallies — and all of it is claimed order-free, so the contract is
+// strict: for any tile and worker count the engine's Result and
+// protocol outcomes are bit-identical to one tile at one worker (the
+// degenerate partition, itself pinned to the reference engine), with
+// every seam (faults, drop/capture coins, observers, media) composed. The second axis
 // pins the relabeling pass: a run on a permuted graph, mapped back
 // through the inverse permutation, is byte-identical to the original.
 
-// runTiledVariant is runVariant with a tile count: tiles == 0 is the
-// untiled kernel, tiles > 1 the tiled one, -1 lets the engine choose.
+// runTiledVariant is runVariant with a tile count: tiles <= 1 at one
+// worker is one tile, tiles > 1 fixes the count, -1 lets the engine
+// choose.
 func runTiledVariant(t *testing.T, c diffCase, workers, tiles int) (*radio.Result, []int32, []int32) {
 	t.Helper()
 	par := diffParams(c.g)
@@ -66,9 +68,9 @@ var tiledVariants = []struct {
 
 // TestTiledDifferentialMatchesUntiled is the headline pin: over the
 // full graph × wakeup-schedule × seed matrix (plus drop and capture
-// coin cases), the tiled kernel is bit-identical to the untiled one at
-// every tile and worker count — Result, colors, and intra-cluster
-// colors all DeepEqual.
+// coin cases), every tile and worker count is bit-identical to one
+// tile at one worker — Result, colors, and intra-cluster colors all
+// DeepEqual.
 func TestTiledDifferentialMatchesUntiled(t *testing.T) {
 	cases := diffCases(t)
 	if testing.Short() && len(cases) > 12 {
@@ -82,13 +84,13 @@ func TestTiledDifferentialMatchesUntiled(t *testing.T) {
 			for _, v := range tiledVariants {
 				res, colors, tcs := runTiledVariant(t, c, v.workers, v.tiles)
 				if !reflect.DeepEqual(res, baseRes) {
-					t.Fatalf("%s: Result diverged from untiled kernel\n base: %+v\n got:  %+v", v.label, baseRes, res)
+					t.Fatalf("%s: Result diverged from one tile\n base: %+v\n got:  %+v", v.label, baseRes, res)
 				}
 				if !reflect.DeepEqual(colors, baseColors) {
-					t.Fatalf("%s: colors diverged from untiled kernel", v.label)
+					t.Fatalf("%s: colors diverged from one tile", v.label)
 				}
 				if !reflect.DeepEqual(tcs, baseTCs) {
-					t.Fatalf("%s: intra-cluster colors diverged from untiled kernel", v.label)
+					t.Fatalf("%s: intra-cluster colors diverged from one tile", v.label)
 				}
 			}
 			if baseRes.Deliveries == 0 {
@@ -173,7 +175,7 @@ func runFaultedTiled(t *testing.T, c diffCase, prof *fault.Profile, workers, til
 
 // TestTiledDifferentialWithFaults composes every fault class at once —
 // i.i.d. loss, burst fading, final crashes, a crash+restart, and a
-// probabilistic jammer — and pins the tiled engine to the untiled one.
+// probabilistic jammer — and pins every tiling to one tile.
 // The fault coins hash (seed, slot, link), so they must land in exactly
 // the same receptions however the deliver work is partitioned; crash
 // and restart events apply in the shared wake phase before the sweeps.
@@ -204,9 +206,10 @@ func TestTiledDifferentialWithFaults(t *testing.T) {
 // TestTiledQuiescenceDifferential pins the Quiescent seam on the
 // synthetic bench protocol (the workload the headline speedup is
 // measured on): nodes decide mid-run and declare permanent silence, the
-// tiled engine drops them from the Send sweep and skips their Recv
-// calls, and every Result field must still match the untiled kernel —
-// which keeps ticking them — across all five wakeup schedules. Protocol
+// engine drops them from the Send sweep and skips their Recv calls,
+// and every Result field must still match the reference engine — which
+// keeps ticking them — and one tile, across all five wakeup schedules.
+// Protocol
 // state is deliberately NOT compared: a quiescent node's recv counter
 // stops, which is exactly the behavior independence the seam declares.
 func TestTiledQuiescenceDifferential(t *testing.T) {
@@ -222,19 +225,28 @@ func TestTiledQuiescenceDifferential(t *testing.T) {
 			// the budget (sequential's span is n·p/8), so nodes decide
 			// mid-run and the quiescent tail is long.
 			wake := pat.Make(n, 6, 5)
-			run := func(workers, tiles int) *radio.Result {
-				cfg := radio.Config{
+			config := func(workers, tiles int) radio.Config {
+				return radio.Config{
 					G: d.G, Protocols: w.protocols(), Wake: wake,
 					MaxSlots: slots, NEstimate: n,
 					Workers: workers, Tiles: tiles,
 				}
-				res, err := radio.Run(cfg)
+			}
+			run := func(workers, tiles int) *radio.Result {
+				res, err := radio.Run(config(workers, tiles))
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
 			base := run(1, 0)
+			ref, err := radio.RunReference(config(1, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(base, ref) {
+				t.Fatalf("quiescent one-tile run diverged from the reference\n ref: %+v\n got: %+v", ref, base)
+			}
 			for _, v := range []struct {
 				label          string
 				workers, tiles int
@@ -266,8 +278,8 @@ type slotEvent struct {
 	n    int
 }
 
-// recObserver records every callback. The tiled engine guarantees
-// wake, transmit, decide and slot events in exactly the untiled order;
+// recObserver records every callback. Every tiling emits wake,
+// transmit, decide and slot events in exactly the one-tile order;
 // deliver and collision events are emitted per tile, so they are
 // compared as within-slot multisets (the documented divergence).
 type recObserver struct {
@@ -311,9 +323,9 @@ func sortEvents(evs []slotEvent) {
 }
 
 // TestTiledObserverEvents pins the traced path: a non-nil Observer
-// forces both sweeps sequential, wake/transmit/decide/slot streams are
-// byte-identical to the untiled engine, and deliver/collision streams
-// agree as within-slot multisets.
+// forces both sweeps sequential (and Tiles 0 at Workers 4 to one tile),
+// wake/transmit/decide/slot streams are byte-identical to one tile,
+// and deliver/collision streams agree as within-slot multisets.
 func TestTiledObserverEvents(t *testing.T) {
 	c := diffCases(t)[0]
 	run := func(tiles int) (*radio.Result, *recObserver) {
@@ -353,9 +365,10 @@ func TestTiledObserverEvents(t *testing.T) {
 }
 
 // TestTiledMediumFallsBack pins the documented composition with the
-// reception-model seam: a pluggable medium owns slot resolution, so a
-// tiled Config with Medium set silently runs the untiled loop and must
-// be bit-identical to the same Config without tiles.
+// reception-model seam: a pluggable medium resolves the slot's whole
+// ascending transmitter list between the two sweeps, so a medium run
+// at Tiles = 8, Workers = 4 (parallel per-tile Send and decide) must
+// be bit-identical to the same Config at one tile.
 func TestTiledMediumFallsBack(t *testing.T) {
 	d := topology.UDGWithTargetDegree(60, 8, 13)
 	n := d.G.N()
@@ -380,7 +393,7 @@ func TestTiledMediumFallsBack(t *testing.T) {
 	for _, m := range media {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			run := func(tiles int) *radio.Result {
+			run := func(tiles, workers int) *radio.Result {
 				inst, err := m.model.Bind(medium.Env{
 					N: n, Offsets: csr.Offsets, Edges: csr.Edges,
 					Points: d.Points, Seed: 7,
@@ -395,10 +408,7 @@ func TestTiledMediumFallsBack(t *testing.T) {
 				cfg := radio.Config{
 					G: d.G, Protocols: protos,
 					Wake:     radio.WakeUniform(n, 40, 3),
-					MaxSlots: 260, Medium: inst, Workers: 4, Tiles: 8,
-				}
-				if tiles == 0 {
-					cfg.Tiles = 0
+					MaxSlots: 260, Medium: inst, Workers: workers, Tiles: tiles,
 				}
 				res, err := radio.Run(cfg)
 				if err != nil {
@@ -406,12 +416,12 @@ func TestTiledMediumFallsBack(t *testing.T) {
 				}
 				return res
 			}
-			base := run(0)
-			if got := run(8); !reflect.DeepEqual(got, base) {
-				t.Fatalf("tiled medium run diverged from untiled\n base: %+v\n got:  %+v", base, got)
+			base := run(1, 1)
+			if got := run(8, 4); !reflect.DeepEqual(got, base) {
+				t.Fatalf("tiled medium run diverged from one tile\n base: %+v\n got:  %+v", base, got)
 			}
 			if base.Deliveries == 0 {
-				t.Fatal("no deliveries under medium; fallback differential is vacuous")
+				t.Fatal("no deliveries under medium; tiled medium differential is vacuous")
 			}
 		})
 	}
@@ -473,8 +483,8 @@ func sortInt32Slice(xs []int32) {
 	sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
 }
 
-// TestTiledPermutationDifferential is the second axis: run the untiled
-// kernel on the original graph, run the TILED kernel on a relabeled
+// TestTiledPermutationDifferential is the second axis: run one tile
+// on the original graph, run several tiles on a relabeled
 // copy — scripts, wake slots and deterministic faults placed
 // covariantly — and require the permuted output, mapped back through
 // the inverse permutation, to be byte-identical: every scalar counter,
@@ -587,7 +597,7 @@ func TestTiledPermutationDifferential(t *testing.T) {
 						permRes, permRecvs := run(pg, scriptsP, wakeP, permPr, v.workers, v.tiles)
 						mapped := mapResultBack(permRes, tc.perm)
 						if !reflect.DeepEqual(mapped, baseRes) {
-							t.Fatalf("%s faults=%v w%d/t%d: mapped tiled Result diverged from untiled original\n base:   %+v\n mapped: %+v",
+							t.Fatalf("%s faults=%v w%d/t%d: mapped tiled Result diverged from one-tile original\n base:   %+v\n mapped: %+v",
 								pat.Name, withFaults, v.workers, v.tiles, baseRes, mapped)
 						}
 						for u := 0; u < n; u++ {

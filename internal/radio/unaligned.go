@@ -40,11 +40,10 @@ func RunUnalignedContext(ctx context.Context, cfg Config, offsets []int8) (*Resu
 		// combination is rejected rather than silently ignored.
 		return nil, errors.New("radio: RunUnaligned does not support a pluggable medium")
 	}
-	// The half-slot resolver below is its own sequential loop; the tiled
-	// slot kernel does not apply, so drop the knob rather than build
-	// unused tile state.
-	cfg.Tiles = 0
-	e, err := newEngine(cfg, true) // reuse validation and result bookkeeping
+	// The half-slot resolver below is its own sequential loop, so the
+	// engine is built without tile state; only validation and the
+	// result bookkeeping are reused.
+	e, err := newEngine(cfg, true)
 	if err != nil {
 		return nil, err
 	}

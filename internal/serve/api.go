@@ -70,12 +70,14 @@ type JobRequest struct {
 	ParamScale float64 `json:"param_scale,omitempty"`
 	// MaxSlots caps the simulation (0 = automatic budget).
 	MaxSlots int64 `json:"max_slots,omitempty"`
-	// Workers parallelizes the simulator's phases.
+	// Workers parallelizes the simulator's slot loop over tiles.
 	Workers int `json:"workers,omitempty"`
-	// Tiling selects the tiled slot kernel: -1 picks the tile count
-	// automatically for the job's size, ≥2 forces that many tiles, 0
-	// (default) and 1 keep the untiled loop. Results are bit-identical
-	// either way; tiling only changes throughput at scale.
+	// Tiling selects the tile partition of the slot loop: -1 picks the
+	// tile count automatically for the job's size, ≥2 forces that many
+	// tiles, 0 (default) and 1 run one tile at the job's own node ids.
+	// A tiled job first relabels nodes for locality, so its coloring is
+	// deterministic for its options but differs from a one-tile job's;
+	// tiling only changes throughput at scale.
 	Tiling int `json:"tiling,omitempty"`
 	// Metrics attaches an Outcome.Stats snapshot to the result.
 	Metrics bool `json:"metrics,omitempty"`

@@ -1048,7 +1048,7 @@ func TestTilingJob(t *testing.T) {
 	// end, produces a proper complete coloring, and matches the direct
 	// library call with the same options bit-for-bit. (Tiling relabels
 	// node ids internally, so a tiled outcome is deterministic for its
-	// options but not identical to the untiled run's — the bit-identity
+	// options but not identical to the one-tile run's — the bit-identity
 	// pinned by the internal/radio differential suite is at fixed
 	// labels.)
 	_, ts := newTestServer(t, Config{Workers: 1})

@@ -14,8 +14,8 @@ import (
 // degradation property to the tiled slot kernel: under composed link
 // loss, random crash/restart schedules AND a duty-cycled jammer, a
 // tiled parallel run on every wakeup schedule must still never leave
-// two live adjacent nodes sharing a color. The tiled engine is pinned
-// bit-identical to the untiled one by the differential suite; this
+// two live adjacent nodes sharing a color. Every tiling is pinned
+// bit-identical to one tile by the differential suite; this
 // test closes the loop end-to-end through the real protocol and the
 // survivor checker, so a partitioning bug that somehow slipped the
 // differentials would still surface as a hard violation here.

@@ -72,28 +72,33 @@ type Options struct {
 	ParamScale float64
 	// MaxSlots caps the simulation (0 = automatic generous budget).
 	MaxSlots int64
-	// Workers > 1 runs the simulator's send phase on several
-	// goroutines. Results are bit-identical to the sequential engine:
-	// every node owns an independent random stream, so the schedule of
-	// goroutines cannot leak into the outcome.
+	// Workers > 1 runs the simulator's slot loop on several
+	// goroutines, each taking whole tiles of nodes (at Tiling 0 or 1 the
+	// engine splits the node ids into one tile per worker, at the
+	// caller's labels). Results are bit-identical to the sequential
+	// engine: every node owns an independent random stream and every
+	// merge across tiles is order-free, so the schedule of goroutines
+	// cannot leak into the outcome. A run with an Observer, a Trace or
+	// Metrics (whose timeline observes every event) is sequential.
 	Workers int
 
-	// Tiling selects the tiled cache-blocked slot kernel for large
-	// runs: -1 lets the engine pick a tile count (~32k-node tiles),
-	// values > 1 fix it, and 0 (the default) keeps the classic untiled
-	// kernel. When enabled, the run first renumbers the graph with the
-	// shared locality pass (a Hilbert curve when node positions are
-	// known, BFS order otherwise) so that tiles are spatially
+	// Tiling selects the cache-blocked tile partition of the slot loop
+	// for large runs: -1 lets the engine pick a tile count (~32k-node
+	// tiles), values > 1 fix it, and 0 (the default) and 1 run one tile
+	// at the caller's node ids. Otherwise the run first renumbers the
+	// graph with the shared locality pass (a Hilbert curve when node
+	// positions are known, BFS order otherwise) so that tiles are spatially
 	// contiguous; every Outcome field — colors, leaders, latencies,
 	// fault reports — and every Observer/Trace event is mapped back to
 	// the caller's node ids. A tiled run is deterministic in Seed and
 	// identical at any Workers count, but it is a different random
-	// execution than the untiled run (node random streams attach to
+	// execution than a one-tile run (node random streams attach to
 	// the relabeled ids), so its colors differ numerically from a
 	// Tiling=0 run while satisfying exactly the same guarantees. The
-	// relabeling is skipped (and the knob passed through to the engine,
-	// which ignores it) when a Medium or clock-skew faults are
-	// configured: those paths own slot resolution and never tile.
+	// relabeling is skipped when a Medium or clock-skew faults are
+	// configured: a medium is bound to the caller's ids, and clock skew
+	// runs on the half-slot engine, which has no tiles. Such runs are
+	// bit-identical to Tiling=0.
 	Tiling int
 
 	// Measured, when non-nil, supplies precomputed graph parameters
@@ -185,7 +190,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("radiocolor: negative Workers %d", o.Workers)
 	}
 	if o.Tiling < -1 {
-		return fmt.Errorf("radiocolor: invalid Tiling %d (want -1 for auto, 0 for off, or a tile count)", o.Tiling)
+		return fmt.Errorf("radiocolor: invalid Tiling %d (want -1 for auto, 0 for one tile, or a tile count)", o.Tiling)
 	}
 	if m := o.Measured; m != nil {
 		if m.Delta < 0 {

@@ -239,8 +239,9 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	// — events, colors, latencies, down lists — is mapped back through
 	// the inverse permutation below. Graph parameters (Δ, κ) were
 	// measured above, on the original labels, so protocol constants are
-	// unaffected. Media and clock skew never tile (their resolvers own
-	// the slot loop), so those runs keep the caller's labels.
+	// unaffected. Media and clock skew keep the caller's labels: a
+	// medium is bound to the caller's graph, and clock skew runs on the
+	// half-slot engine, which has no tiles.
 	runG := g
 	var tilePerm *graph.Permutation
 	if opt.Tiling != 0 && opt.Tiling != 1 && opt.Medium == nil &&

@@ -289,7 +289,7 @@ func TestTilingCrashRestartRegression(t *testing.T) {
 		}
 	}
 
-	// Untiled reference: the same schedule without relabeling agrees on
+	// One-tile reference: the same schedule without relabeling agrees on
 	// the fault verdict (executions differ numerically; the contract is
 	// the verdict, not the colors).
 	ref, err := ColorGraph(adj, Options{Seed: 7, Faults: fc})
@@ -297,9 +297,9 @@ func TestTilingCrashRestartRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ref.Faults == nil || ref.Faults.Crashes != 1 || ref.Faults.Restarts != 1 || !ref.OK() {
-		t.Fatalf("untiled reference disagrees: %+v ok=%v", ref.Faults, ref.OK())
+		t.Fatalf("one-tile reference disagrees: %+v ok=%v", ref.Faults, ref.OK())
 	}
 	if ref.PerNodeLatency[5] < 2500 {
-		t.Errorf("untiled node 5 latency %d predates its restart", ref.PerNodeLatency[5])
+		t.Errorf("one-tile node 5 latency %d predates its restart", ref.PerNodeLatency[5])
 	}
 }

@@ -11,7 +11,7 @@ import (
 // field is mapped back to the caller's node ids before anyone sees it.
 // The permutation-differential suite in internal/radio pins the
 // underlying identity: a tiled run on the relabeled graph, mapped back
-// through the inverse permutation, is byte-identical to an untiled run
+// through the inverse permutation, is byte-identical to a one-tile run
 // of the same execution.
 
 // tilingPermutation picks the locality order for a tiled run: Hilbert
