@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench fuzz chaos churn medium experiments examples serve replicas clean
+.PHONY: all build test short race bench e2e fuzz chaos churn medium experiments examples serve replicas clean
 
 all: build test
 
@@ -21,6 +21,17 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# End-to-end benchmark smoke: a 5 s run of each workload (the same runs
+# as CI's e2ebench job); each must report a correct verdict and no
+# failed operations. See e2ebench/README.md for the full benchmark.
+e2e:
+	@set -e; for w in udg-uniform-250 colord-mix; do \
+		last=$$(bash e2ebench/run.sh --workload $$w --seed 1 --seconds 5 --trace 0 | tail -n 1); \
+		echo "$$w: $$last"; \
+		echo "$$last" | grep -q '"correct":true'; \
+		echo "$$last" | grep -q '"failed":0'; \
+	done
 
 fuzz:
 	$(GO) test -fuzz FuzzReadGraph -fuzztime 30s ./internal/graph/

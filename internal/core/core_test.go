@@ -182,7 +182,7 @@ func TestChiAvoidsCriticalRanges(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
 	v.class = 2
-	r := v.par.CriticalRange(2)
+	r := testParams().CriticalRange(2)
 	// Competitors at counters 0, −3, 100 (all observed at slot 10,
 	// queried at slot 10 → d = base).
 	v.comp = map[radio.NodeID]competitor{
@@ -211,7 +211,7 @@ func TestChiAccountsForElapsedSlots(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
 	v.class = 0
-	r := v.par.CriticalRange(0)
+	r := testParams().CriticalRange(0)
 	// A competitor reported counter 5 at slot 0; by slot 40 its local
 	// copy is 45.
 	v.comp = map[radio.NodeID]competitor{1: {base: 5, at: 0}}
@@ -241,7 +241,7 @@ func TestQuickChiProperty(t *testing.T) {
 			}
 			v.comp[radio.NodeID(i+1)] = competitor{base: int64(b), at: 0}
 		}
-		r := v.par.CriticalRange(1)
+		r := testParams().CriticalRange(1)
 		x := v.chi(slot)
 		if x > 0 {
 			return false
@@ -295,7 +295,7 @@ func TestNewNodePanicsOnBadParams(t *testing.T) {
 func TestNodeWaitingIsSilent(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	w := v.par.WaitSlots()
+	w := testParams().WaitSlots()
 	for s := int64(0); s < w-1; s++ {
 		if msg := v.Send(s); msg != nil {
 			t.Fatalf("waiting node transmitted at slot %d", s)
@@ -313,7 +313,8 @@ func TestNodeWaitingIsSilent(t *testing.T) {
 func TestLoneNodeBecomesLeader(t *testing.T) {
 	v := newTestNode(0)
 	v.Start(0)
-	want := v.par.WaitSlots() + v.par.Threshold()
+	p := testParams()
+	want := p.WaitSlots() + p.Threshold()
 	var slot int64
 	for slot = 0; slot < want+10; slot++ {
 		v.Send(slot)
@@ -401,7 +402,7 @@ func TestCriticalRangeReset(t *testing.T) {
 	v.phase = PhaseActive
 	v.class = 0
 	v.counter = 100
-	r := v.par.CriticalRange(0)
+	r := testParams().CriticalRange(0)
 	// Far counter: no reset.
 	v.Recv(0, &MsgA{From: 1, Class: 0, Counter: 100 + r + 1})
 	if v.counter != 100 || v.Resets() != 0 {
@@ -470,7 +471,7 @@ func TestLeaderQueueService(t *testing.T) {
 	// Drive the service loop; we must observe assignments tc=1 to node 5
 	// then tc=2 to node 6, each within a serve window.
 	assigns := make(map[radio.NodeID]int32)
-	serve := v.par.ServeSlots()
+	serve := testParams().ServeSlots()
 	for s := int64(0); s < 40*serve; s++ {
 		if msg := v.coloredSend(); msg != nil {
 			if a, ok := msg.(*MsgAssign); ok {
@@ -580,7 +581,7 @@ func TestLeaderAssignmentMemory(t *testing.T) {
 		serve := func(w radio.NodeID) int32 {
 			v.Recv(0, &MsgR{From: w, Leader: 0})
 			var tc int32 = -1
-			for s := int64(0); s < 50*v.par.ServeSlots(); s++ {
+			for s := int64(0); s < 50*testParams().ServeSlots(); s++ {
 				if msg := v.coloredSend(); msg != nil {
 					if a, ok := msg.(*MsgAssign); ok && a.To == w {
 						tc = a.TC

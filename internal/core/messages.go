@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"radiocolor/internal/radio"
 )
@@ -14,12 +15,12 @@ import (
 // cost ⌈log₂((Δ+1)(κ₂+1))⌉ bits.
 
 // bitsFor returns the number of bits needed to express non-negative
-// values up to v.
+// values up to v: ⌈log₂(v+1)⌉, which is the bit length of v.
 func bitsFor(v int64) int {
 	if v <= 1 {
 		return 1
 	}
-	return int(math.Ceil(math.Log2(float64(v + 1))))
+	return bits.Len64(uint64(v))
 }
 
 // idBits is the identifier cost for network-size estimate n.

@@ -61,7 +61,7 @@ type competitor struct {
 type Node struct {
 	id  radio.NodeID
 	rng radio.Rand
-	par Params
+	k   consts
 	abl Ablation
 
 	phase  Phase
@@ -103,6 +103,43 @@ type Node struct {
 	leftA0 int64
 }
 
+// consts holds the quantities Algorithms 1–3 derive from Params. The
+// nodes' estimates of n and Δ never change during a run, so NewNode
+// computes them once and the per-slot paths only read them.
+type consts struct {
+	threshold int64   // ⌈σΔ log n⌉
+	wait      int64   // ⌈αΔ log n⌉, at least 1
+	serve     int64   // ⌈β log n⌉, at least 1
+	crit0     int64   // ⌈γζ₀ log n⌉ for class 0
+	critHi    int64   // ⌈γζᵢ log n⌉ for every class i > 0 (ζᵢ = Δ)
+	pSend     float64 // 1/(κ₂Δ)
+	pLeader   float64 // 1/κ₂
+	stride    int32   // κ₂+1: the class distance between intra-cluster colors
+}
+
+// compile evaluates every per-run quantity through the Params methods,
+// so the values are exactly the ones those methods return.
+func compile(p Params) consts {
+	return consts{
+		threshold: p.Threshold(),
+		wait:      max(1, p.WaitSlots()),
+		serve:     max(1, p.ServeSlots()),
+		crit0:     p.CriticalRange(0),
+		critHi:    p.CriticalRange(1),
+		pSend:     p.PSend(),
+		pLeader:   p.PLeader(),
+		stride:    int32(p.Kappa2) + 1,
+	}
+}
+
+// crit returns the critical range ⌈γζ_i log n⌉ of verification class i.
+func (k *consts) crit(class int32) int64 {
+	if class == 0 {
+		return k.crit0
+	}
+	return k.critHi
+}
+
 // NewNode creates a protocol instance. id is the node's wire identifier
 // (it only needs to be unique; the algorithm performs no arithmetic on
 // it), rng its private random stream.
@@ -113,7 +150,7 @@ func NewNode(id radio.NodeID, rng radio.Rand, par Params, abl Ablation) *Node {
 	return &Node{
 		id:     id,
 		rng:    rng,
-		par:    par,
+		k:      compile(par),
 		abl:    abl,
 		tc:     -1,
 		color:  -1,
@@ -175,10 +212,7 @@ func (v *Node) enterVerify(class int32) {
 	v.class = class
 	v.comp = make(map[radio.NodeID]competitor)
 	v.counter = 0
-	v.waitLeft = v.par.WaitSlots()
-	if v.waitLeft < 1 {
-		v.waitLeft = 1
-	}
+	v.waitLeft = v.k.wait
 	v.logTransition(PhaseWaiting, class)
 }
 
@@ -198,19 +232,19 @@ func (v *Node) Send(slot int64) radio.Message {
 
 	case PhaseActive:
 		v.counter++ // line 17
-		if v.counter >= v.par.Threshold() {
+		if v.counter >= v.k.threshold {
 			// Lines 19–20: irrevocable decision, Algorithm 3 starts in
 			// the same slot.
 			v.becomeColored()
 			return v.coloredSend()
 		}
-		if v.rng.Float64() < v.par.PSend() {
+		if v.rng.Float64() < v.k.pSend {
 			return &MsgA{From: v.id, Class: v.class, Counter: v.counter} // line 22
 		}
 		return nil
 
 	case PhaseRequest:
-		if v.rng.Float64() < v.par.PSend() {
+		if v.rng.Float64() < v.k.pSend {
 			return &MsgR{From: v.id, Leader: v.leader} // Algorithm 2, line 2
 		}
 		return nil
@@ -239,7 +273,7 @@ func (v *Node) becomeColored() {
 func (v *Node) coloredSend() radio.Message {
 	if v.class > 0 {
 		// Line 4: keep announcing C_i membership.
-		if v.rng.Float64() < v.par.PSend() {
+		if v.rng.Float64() < v.k.pSend {
 			return &MsgC{From: v.id, Class: v.class}
 		}
 		return nil
@@ -248,7 +282,7 @@ func (v *Node) coloredSend() radio.Message {
 	if v.serveLeft == 0 {
 		if len(v.queue) == 0 {
 			// Line 14: beacon so A₀ neighbors learn of the leader.
-			if v.rng.Float64() < v.par.PLeader() {
+			if v.rng.Float64() < v.k.pLeader {
 				return &MsgC{From: v.id, Class: 0}
 			}
 			return nil
@@ -265,14 +299,11 @@ func (v *Node) coloredSend() radio.Message {
 				v.assigned[v.serveTo] = v.serveTC
 			}
 		}
-		v.serveLeft = v.par.ServeSlots()
-		if v.serveLeft < 1 {
-			v.serveLeft = 1
-		}
+		v.serveLeft = v.k.serve
 	}
 	v.serveLeft--
 	var out radio.Message
-	if v.rng.Float64() < v.par.PLeader() {
+	if v.rng.Float64() < v.k.pLeader {
 		out = &MsgAssign{From: v.id, To: v.serveTo, TC: v.serveTC} // line 19
 	}
 	if v.serveLeft == 0 {
@@ -298,7 +329,7 @@ func (v *Node) Recv(slot int64, msg radio.Message) {
 		// (Algorithm 2, lines 3–4).
 		if v.phase == PhaseRequest && m.From == v.leader && m.To == v.id {
 			v.tc = m.TC
-			v.enterVerify(m.TC * (int32(v.par.Kappa2) + 1))
+			v.enterVerify(m.TC * v.k.stride)
 		}
 	case *MsgR:
 		// Algorithm 3, lines 10–12: leaders enqueue fresh requests.
@@ -332,7 +363,7 @@ func (v *Node) recvA(slot int64, m *MsgA) {
 	if diff < 0 {
 		diff = -diff
 	}
-	if diff <= v.par.CriticalRange(v.class) { // line 29
+	if diff <= v.k.crit(v.class) { // line 29
 		v.counter = v.chi(slot)
 		v.resets++
 	}
@@ -366,7 +397,7 @@ func (v *Node) chi(slot int64) int64 {
 	if v.abl.NoCompetitorList {
 		return 0
 	}
-	r := v.par.CriticalRange(v.class)
+	r := v.k.crit(v.class)
 	x := int64(0)
 	for {
 		blocked := false

@@ -183,7 +183,6 @@ type job struct {
 	attempts   int
 	canceled   bool // cancellation requested while running
 	cancel     context.CancelFunc
-	outcome    *radiocolor.Outcome
 	errMsg     string
 	doneClosed bool
 }
@@ -583,9 +582,11 @@ func (s *Server) commit(j *job, rec *store.Job, state store.State, outcome *radi
 	j.mu.Lock()
 	j.state = JobState(state)
 	j.finished = s.now()
-	j.outcome = outcome
 	j.errMsg = errMsg
 	j.cancel = nil
+	// The result lives in the store; drop the input so a retained
+	// finished job holds only its bookkeeping.
+	j.adj, j.points = nil, nil
 	j.closeDone()
 	j.mu.Unlock()
 

@@ -809,6 +809,34 @@ func TestUnitDiskJob(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesInput checks that a retained finished job
+// keeps no input: its result lives in the store, so the runtime entry
+// must not pin the adjacency or point set.
+func TestFinishedJobReleasesInput(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	pts := [][2]float64{{0, 0}, {1, 0}, {2, 0}}
+	for _, req := range []JobRequest{
+		{Adjacency: ringAdjacency(8), Seed: 1},
+		{Points: pts, Radius: 1.1, Seed: 2},
+	} {
+		_, st := submit(t, ts, req)
+		if final := waitTerminal(t, ts, st.ID); final.State != StateDone {
+			t.Fatalf("job %s: %+v", st.ID, final)
+		}
+		j := s.lookup(st.ID)
+		if j == nil {
+			t.Fatalf("job %s not retained", st.ID)
+		}
+		<-j.done
+		j.mu.Lock()
+		adj, points := j.adj, j.points
+		j.mu.Unlock()
+		if adj != nil || points != nil {
+			t.Errorf("finished job %s still holds its input: %d rows, %d points", st.ID, len(adj), len(points))
+		}
+	}
+}
+
 func ExampleServer() {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s)
