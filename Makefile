@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race bench e2e fuzz chaos churn medium experiments examples serve replicas clean
+.PHONY: all build test fmt-check short race bench e2e fuzz chaos churn medium experiments examples serve replicas clean
 
 all: build test
 
@@ -12,6 +12,11 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
+
+# Fails, listing the files, when any tracked Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 short:
 	$(GO) test -short ./...

@@ -290,3 +290,40 @@ func TestStatsDisabledByDefault(t *testing.T) {
 		t.Error("Stats attached without Options.Metrics")
 	}
 }
+
+// TestContextRegistryCountsRun checks the internal registry hand-off:
+// a registry on the context counts the run (phase gauges included)
+// whether or not Options.Metrics is set, and with it set Outcome.Stats
+// is read from that same registry. On a tiled run the phase hook maps
+// ids back, so the gauges still cover every node.
+func TestContextRegistryCountsRun(t *testing.T) {
+	adj := make([][]int, 40)
+	for v := range adj {
+		adj[v] = []int{(v + 39) % 40, (v + 1) % 40}
+	}
+	for _, opt := range []Options{{Seed: 3}, {Seed: 3, Metrics: true}, {Seed: 3, Tiling: 4, Metrics: true}} {
+		m := obs.NewMetrics()
+		out, err := ColorGraphContext(obs.ContextWithMetrics(context.Background(), m), adj, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.OK() {
+			t.Fatalf("%+v: not a proper complete coloring", opt)
+		}
+		snap := m.Snapshot()
+		if snap.Wakeups != 40 || snap.Decisions != 40 || snap.Slots != out.Slots {
+			t.Errorf("%+v: registry wakeups=%d decisions=%d slots=%d, want 40/40/%d",
+				opt, snap.Wakeups, snap.Decisions, snap.Slots, out.Slots)
+		}
+		if snap.PhaseNodes != [obs.NumPhases]int64{obs.PhaseColored: 40} {
+			t.Errorf("%+v: terminal phase gauges %v, want all 40 colored", opt, snap.PhaseNodes)
+		}
+		if (out.Stats != nil) != opt.Metrics {
+			t.Fatalf("%+v: Stats attached = %v", opt, out.Stats != nil)
+		}
+		if s := out.Stats; s != nil && (s.Transmissions != snap.Transmissions || s.Collisions != snap.Collisions) {
+			t.Errorf("%+v: Stats tx=%d coll=%d, registry tx=%d coll=%d",
+				opt, s.Transmissions, s.Collisions, snap.Transmissions, snap.Collisions)
+		}
+	}
+}

@@ -247,7 +247,7 @@ func main() {
 	}
 	collector := &obs.Collector{Metrics: met, Tracer: tracer, Timeline: timeline}
 	nodes, protos := core.Nodes(d.N(), *seed, par, core.Ablation{})
-	core.ObservePhases(nodes, collector)
+	core.ObservePhases(nodes, collector, nil)
 	cfg := radio.Config{
 		G: d.G, Protocols: protos, Wake: wake,
 		MaxSlots: budget, NEstimate: par.N,

@@ -93,6 +93,32 @@ func TestBitsForMatchesLog2(t *testing.T) {
 	}
 }
 
+// idBitsLog2 is the floating-point definition idBits must agree with.
+func idBitsLog2(n int) int {
+	if n < 2 {
+		n = 2
+	}
+	return int(math.Ceil(3 * math.Log2(float64(n))))
+}
+
+func TestIDBitsMatchesLog2(t *testing.T) {
+	for n := -1; n < 1<<21; n++ {
+		if got, want := idBits(n), idBitsLog2(n); got != want {
+			t.Fatalf("idBits(%d) = %d, ⌈3 log₂ n⌉ = %d", n, got, want)
+		}
+	}
+	// Near each boundary 2^(k/3), where ⌈3 log₂ n⌉ steps from k to k+1,
+	// on both sides of the integer range.
+	for k := 1; k <= 120; k++ {
+		b := int(math.Round(math.Exp2(float64(k) / 3)))
+		for n := b - 3; n <= b+3; n++ {
+			if got, want := idBits(n), idBitsLog2(n); got != want {
+				t.Errorf("idBits(%d) = %d, ⌈3 log₂ n⌉ = %d", n, got, want)
+			}
+		}
+	}
+}
+
 // sendSink keeps the benchmarked Send calls' results live.
 var sendSink radio.Message
 

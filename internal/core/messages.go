@@ -23,10 +23,17 @@ func bitsFor(v int64) int {
 	return bits.Len64(uint64(v))
 }
 
-// idBits is the identifier cost for network-size estimate n.
+// idBits is the identifier cost for network-size estimate n:
+// ⌈3 log₂ n⌉ = ⌈log₂ n³⌉, the bit length of n³−1. Below 2²¹, where n³
+// fits in 63 bits, that is integer arithmetic; beyond, the
+// floating-point form it equals is kept.
 func idBits(n int) int {
 	if n < 2 {
 		n = 2
+	}
+	if n < 1<<21 {
+		c := uint64(n) * uint64(n) * uint64(n)
+		return bits.Len64(c - 1)
 	}
 	return int(math.Ceil(3 * math.Log2(float64(n))))
 }

@@ -10,14 +10,19 @@ import "radiocolor/internal/obs"
 
 // ObservePhases installs a phase hook on every node that forwards
 // transitions into c (metrics phase gauges, trace phase events and the
-// per-phase timeline, whichever are present). Call before the run
-// starts. A nil or empty collector installs nothing, keeping the nodes
-// on the hook-free fast path.
-func ObservePhases(nodes []*Node, c *obs.Collector) {
+// per-phase timeline, whichever are present). A non-nil inv maps each
+// node id back to the caller's labels (the inverse of the relabeling a
+// tiled run applies). Call before the run starts. A nil or empty
+// collector installs nothing, keeping the nodes on the hook-free fast
+// path.
+func ObservePhases(nodes []*Node, c *obs.Collector, inv []int32) {
 	if c == nil || (c.Metrics == nil && c.Tracer == nil && c.Timeline == nil) {
 		return
 	}
 	hook := func(slot int64, node int32, from, to Phase, class int32) {
+		if inv != nil {
+			node = inv[node]
+		}
 		c.OnPhase(slot, node, obs.Phase(from), obs.Phase(to), class)
 	}
 	for _, v := range nodes {

@@ -58,7 +58,7 @@ func TestObservePhases(t *testing.T) {
 	tl := obs.NewTimeline(n, 0)
 	tr := obs.NewTracer(0, nil, obs.KindPhase)
 	met := obs.NewMetrics()
-	ObservePhases(nodes, &obs.Collector{Metrics: met, Tracer: tr, Timeline: tl})
+	ObservePhases(nodes, &obs.Collector{Metrics: met, Tracer: tr, Timeline: tl}, nil)
 	res, err := radio.Run(radio.Config{
 		G:         g,
 		Protocols: protos,
@@ -120,8 +120,8 @@ func TestObservePhases(t *testing.T) {
 // TestObservePhasesNop checks that an empty collector installs no hook.
 func TestObservePhasesNop(t *testing.T) {
 	nodes, _ := Nodes(2, 1, Practical(2, 2, 1, 1), Ablation{})
-	ObservePhases(nodes, nil)
-	ObservePhases(nodes, &obs.Collector{})
+	ObservePhases(nodes, nil, nil)
+	ObservePhases(nodes, &obs.Collector{}, nil)
 	for i, v := range nodes {
 		if v.phaseHook != nil {
 			t.Errorf("node %d got a hook from an empty collector", i)

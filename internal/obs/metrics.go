@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -102,26 +103,6 @@ func (m *Metrics) AddLeave() { m.leaves.Add(1) }
 // monochromatic edge).
 func (m *Metrics) AddConflictRepaired() { m.conflictsRep.Add(1) }
 
-// AddFaultTotals folds a completed run's fault-seam totals into the
-// registry. The engine's per-event adders only reach the registry the
-// run was configured with; an aggregating registry (a server scraping
-// many runs) merges each finished run with one call.
-func (m *Metrics) AddFaultTotals(lost, jammed, crashes, restarts int64) {
-	m.lost.Add(lost)
-	m.jammed.Add(jammed)
-	m.crashes.Add(crashes)
-	m.restarts.Add(restarts)
-}
-
-// AddChurnTotals folds a completed run's churn-seam totals (joins,
-// leaves, conflict repairs) into the registry — the churn counterpart
-// of AddFaultTotals.
-func (m *Metrics) AddChurnTotals(joins, leaves, repaired int64) {
-	m.joins.Add(joins)
-	m.leaves.Add(leaves)
-	m.conflictsRep.Add(repaired)
-}
-
 // AddDecision counts one node's irrevocable decision.
 func (m *Metrics) AddDecision() { m.decisions.Add(1) }
 
@@ -150,13 +131,6 @@ func (m *Metrics) PhaseChange(from, to Phase) {
 // SetPhaseGauge initializes the occupancy gauge for `p` to n (used to
 // seed PhaseAsleep with the node count before a run).
 func (m *Metrics) SetPhaseGauge(p Phase, n int64) { m.phase[p].Store(n) }
-
-// AddPhaseGauge shifts the occupancy gauge for `p` by n. Registries
-// shared across concurrent runs (the serving layer's aggregate) use it
-// to seed a run's node count in and subtract a finished run's terminal
-// occupancy back out, where the absolute Store of SetPhaseGauge would
-// clobber the other runs' contributions.
-func (m *Metrics) AddPhaseGauge(p Phase, n int64) { m.phase[p].Add(n) }
 
 // Snapshot is a consistent-enough point-in-time view of a registry.
 // (Counters are read individually; a snapshot taken mid-slot may be off
@@ -244,25 +218,41 @@ func (s Snapshot) SlotsPerSec() float64 {
 // keep s's values). Use with two snapshots of a live registry to report
 // interval rates.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	d := s
-	d.Transmissions -= prev.Transmissions
-	d.Deliveries -= prev.Deliveries
-	d.Collisions -= prev.Collisions
-	d.Captures -= prev.Captures
-	d.Drops -= prev.Drops
-	d.Decisions -= prev.Decisions
-	d.Wakeups -= prev.Wakeups
-	d.Slots -= prev.Slots
-	d.Lost -= prev.Lost
-	d.Jammed -= prev.Jammed
-	d.Crashes -= prev.Crashes
-	d.Restarts -= prev.Restarts
-	d.Joins -= prev.Joins
-	d.Leaves -= prev.Leaves
-	d.ConflictsRepaired -= prev.ConflictsRepaired
-	d.Drowned -= prev.Drowned
-	d.BelowNoise -= prev.BelowNoise
+	d := s.addCounters(prev, -1)
 	d.Start = prev.At
+	return d
+}
+
+// Add returns the sum s + o, counters and gauges alike (timestamps keep
+// s's values): the fold an aggregate over many runs applies per run.
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	d := s.addCounters(o, 1)
+	for i, v := range o.PhaseNodes {
+		d.PhaseNodes[i] += v
+	}
+	return d
+}
+
+// addCounters returns s with k·o added to every monotone counter.
+func (s Snapshot) addCounters(o Snapshot, k int64) Snapshot {
+	d := s
+	d.Transmissions += k * o.Transmissions
+	d.Deliveries += k * o.Deliveries
+	d.Collisions += k * o.Collisions
+	d.Captures += k * o.Captures
+	d.Drops += k * o.Drops
+	d.Decisions += k * o.Decisions
+	d.Wakeups += k * o.Wakeups
+	d.Slots += k * o.Slots
+	d.Lost += k * o.Lost
+	d.Jammed += k * o.Jammed
+	d.Crashes += k * o.Crashes
+	d.Restarts += k * o.Restarts
+	d.Joins += k * o.Joins
+	d.Leaves += k * o.Leaves
+	d.ConflictsRepaired += k * o.ConflictsRepaired
+	d.Drowned += k * o.Drowned
+	d.BelowNoise += k * o.BelowNoise
 	return d
 }
 
@@ -320,4 +310,22 @@ func (s Snapshot) String() string {
 		fmt.Fprintf(&b, "%s=%d", k, m[k])
 	}
 	return b.String()
+}
+
+// metricsKey keys a run's registry in a context.Context.
+type metricsKey struct{}
+
+// ContextWithMetrics returns a context that hands m to a coloring run
+// started under it: the run counts its events into m, as it would into
+// the registry Options.Metrics creates. A caller that aggregates many
+// runs (the serving layer) passes a fresh registry per run this way.
+func ContextWithMetrics(ctx context.Context, m *Metrics) context.Context {
+	return context.WithValue(ctx, metricsKey{}, m)
+}
+
+// MetricsFromContext returns the registry ContextWithMetrics attached,
+// or nil.
+func MetricsFromContext(ctx context.Context) *Metrics {
+	m, _ := ctx.Value(metricsKey{}).(*Metrics)
+	return m
 }

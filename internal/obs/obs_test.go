@@ -74,6 +74,34 @@ func TestMetricsSINRCounters(t *testing.T) {
 	}
 }
 
+func TestSnapshotAddSumsEverySeries(t *testing.T) {
+	m := NewMetrics()
+	for _, add := range []func(){
+		m.AddTransmission, m.AddDelivery, m.AddCollision, m.AddCapture,
+		m.AddDrop, m.AddDecision, m.AddWakeup, m.AddSlot, m.AddLost,
+		m.AddJammed, m.AddCrash, m.AddRestart, m.AddJoin, m.AddLeave,
+		m.AddConflictRepaired, func() { m.AddDrowned(1) }, func() { m.AddBelowNoise(1) },
+	} {
+		add()
+	}
+	for p := range NumPhases {
+		m.SetPhaseGauge(Phase(p), int64(p+1))
+	}
+	s := m.Snapshot()
+	sum := s.Add(s).Map()
+	for name, v := range s.Map() {
+		if v == 0 {
+			t.Fatalf("%s not set by the fixture", name)
+		}
+		if sum[name] != 2*v {
+			t.Errorf("Add: %s = %d, want %d", name, sum[name], 2*v)
+		}
+	}
+	if back := s.Add(s).Sub(s); back.Map()["below_noise"] != 1 || back.Slots != 1 {
+		t.Errorf("Sub does not invert Add: %v", back)
+	}
+}
+
 func TestMetricsConcurrent(t *testing.T) {
 	m := NewMetrics()
 	var wg sync.WaitGroup

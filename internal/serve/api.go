@@ -322,7 +322,9 @@ type JobStatus struct {
 // SSE event name duplicates Type).
 type StreamEvent struct {
 	// Type is "status" (initial snapshot), "progress" (periodic sample
-	// while running), or "done" (terminal, carries the full status).
+	// while running, plus a closing sample of the final counters when
+	// the serving replica finished the run), or "done" (terminal,
+	// carries the full status).
 	Type string `json:"type"`
 	// State is the job state at emission time.
 	State JobState `json:"state"`

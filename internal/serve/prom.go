@@ -88,10 +88,11 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "colord_job_duration_seconds_sum %s\n", promFloat(sum))
 	fmt.Fprintf(w, "colord_job_duration_seconds_count %d\n", count)
 
-	// Aggregate simulation registry: every job feeds the shared obs
-	// registry through the observer seam, so these counters cover all
-	// jobs since the server started. Phase occupancy gauges get a
-	// shared series with a phase label.
+	// Aggregate simulation registry: the engine counts every attempt
+	// into its own registry, and simTotals sums the finished attempts
+	// with the running ones, so these counters cover all jobs since the
+	// server started and the phase gauges the jobs running now. Phase
+	// occupancy gauges get a shared series with a phase label.
 	snap := s.obsReg.Snapshot()
 	phaseMetaDone := false
 	snap.Export(func(name string, v int64, counter bool) {

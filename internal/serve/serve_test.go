@@ -2,10 +2,12 @@ package serve
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"radiocolor"
+	"radiocolor/internal/obs"
 )
 
 func TestLRUEvictionAndCounters(t *testing.T) {
@@ -65,10 +67,10 @@ func TestLRUDisabled(t *testing.T) {
 
 func TestHistogramCumulative(t *testing.T) {
 	h := newHistogram([]float64{0.01, 0.1, 1})
-	h.Observe(5 * time.Millisecond)   // ≤ 0.01
-	h.Observe(50 * time.Millisecond)  // ≤ 0.1
-	h.Observe(60 * time.Millisecond)  // ≤ 0.1
-	h.Observe(2 * time.Second)        // +Inf
+	h.Observe(5 * time.Millisecond)  // ≤ 0.01
+	h.Observe(50 * time.Millisecond) // ≤ 0.1
+	h.Observe(60 * time.Millisecond) // ≤ 0.1
+	h.Observe(2 * time.Second)       // +Inf
 	cum, sum, count := h.snapshot()
 	want := []int64{1, 3, 3, 4}
 	for i, w := range want {
@@ -81,6 +83,60 @@ func TestHistogramCumulative(t *testing.T) {
 	}
 	if sum < 2.1 || sum > 2.2 {
 		t.Fatalf("sum = %g, want ≈2.115", sum)
+	}
+}
+
+// TestSimTotalsConcurrent runs attempts from several goroutines while
+// another scrapes: every scrape must see the counters never fall (an
+// attempt ending mid-scrape counted once, not twice or not at all), and
+// once all attempts end the totals are exact and the gauges zero.
+func TestSimTotalsConcurrent(t *testing.T) {
+	const workers, attempts, events = 4, 50, 20
+	a := newSimTotals()
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		var last int64
+		for {
+			s := a.Snapshot()
+			if s.Collisions < last {
+				t.Errorf("collisions fell from %d to %d", last, s.Collisions)
+			}
+			last = s.Collisions
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < attempts; i++ {
+				m := a.begin()
+				m.SetPhaseGauge(obs.PhaseAsleep, 3)
+				for e := 0; e < events; e++ {
+					m.AddCollision()
+					m.AddSlot()
+				}
+				m.PhaseChange(obs.PhaseAsleep, obs.PhaseColored)
+				a.end(m)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+	s := a.Snapshot()
+	if want := int64(workers * attempts * events); s.Collisions != want || s.Slots != want {
+		t.Fatalf("totals collisions=%d slots=%d, want %d", s.Collisions, s.Slots, want)
+	}
+	if s.PhaseNodes != [obs.NumPhases]int64{} {
+		t.Fatalf("idle phase gauges %v, want all 0", s.PhaseNodes)
 	}
 }
 

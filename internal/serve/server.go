@@ -165,9 +165,9 @@ type job struct {
 	// timeout is the job's wall-clock bound (0 = none); exceeding it
 	// ends the job in StateTimedOut.
 	timeout time.Duration
-	// metrics is the per-job live registry the stream endpoints sample;
-	// the run feeds it (and the server aggregate) through the observer
-	// seam.
+	// metrics is the registry of the job's current (or last) attempt,
+	// which the engine counts the run into and the stream endpoints
+	// sample. Guarded by mu; nil until the first attempt starts.
 	metrics *obs.Metrics
 
 	submitted time.Time
@@ -208,7 +208,7 @@ type Server struct {
 	cache    *lru
 	engine   *fleet.Engine
 	progress *monitor.Progress
-	obsReg   *obs.Metrics
+	obsReg   *simTotals
 	latency  *histogram
 	start    time.Time
 
@@ -255,7 +255,7 @@ func New(cfg Config) *Server {
 		ctrl:     cfg.Control,
 		cache:    newLRU(cfg.CacheSize),
 		progress: monitor.NewProgress(nil, "colord"),
-		obsReg:   obs.NewMetrics(),
+		obsReg:   newSimTotals(),
 		latency:  newHistogram(defaultLatencyBounds),
 		start:    cfg.now(),
 		stop:     make(chan struct{}),
@@ -496,7 +496,15 @@ func (s *Server) execute(rec *store.Job) {
 	results, _ := s.engine.Run([]fleet.Job{{
 		ID: j.id,
 		Run: func() (any, error) {
-			out, err := s.runJob(ctx, j)
+			// Each attempt counts into a fresh registry: the stream
+			// samples it, /metrics sums it while it runs and folds it
+			// in when the attempt ends, however it ends.
+			m := s.obsReg.begin()
+			defer s.obsReg.end(m)
+			j.mu.Lock()
+			j.metrics = m
+			j.mu.Unlock()
+			out, err := s.runJob(obs.ContextWithMetrics(ctx, m), j)
 			if err != nil {
 				return nil, err
 			}
@@ -651,7 +659,6 @@ func (s *Server) assemble(req *JobRequest) (*job, error) {
 		timeout:   s.cfg.JobTimeout,
 		state:     StateQueued,
 		done:      make(chan struct{}),
-		metrics:   obs.NewMetrics(),
 		submitted: s.now(),
 	}
 	if req.TimeoutMS > 0 {
@@ -687,86 +694,62 @@ func (s *Server) assemble(req *JobRequest) (*job, error) {
 }
 
 // runJob executes the job through the public context-aware entry
-// points, feeding the per-job and server-aggregate obs registries
-// through the Observer/PhaseObserver seams (which cannot affect the
-// outcome). The node count is seeded into the asleep gauge before the
-// run and the terminal occupancy is subtracted back out after, so the
-// aggregate phase gauges always describe the currently running jobs.
+// points. ctx carries the attempt's registry (obs.ContextWithMetrics),
+// which the engine counts the run into; it cannot affect the outcome.
 func (s *Server) runJob(ctx context.Context, j *job) (*radiocolor.Outcome, error) {
 	if s.cfg.run != nil {
 		return s.cfg.run(ctx, j)
 	}
-	n := int64(len(j.adj) + len(j.points))
-	j.metrics.AddPhaseGauge(obs.PhaseAsleep, n)
-	s.obsReg.AddPhaseGauge(obs.PhaseAsleep, n)
-	defer func() {
-		snap := j.metrics.Snapshot()
-		for p, v := range snap.PhaseNodes {
-			s.obsReg.AddPhaseGauge(obs.Phase(p), -v)
-		}
-	}()
-	opt := j.opt
-	opt.Observer = obsFeed{a: j.metrics, b: s.obsReg}
-	var out *radiocolor.Outcome
-	var err error
 	if j.points != nil {
-		out, err = radiocolor.ColorUnitDiskContext(ctx, j.points, j.radius, opt)
-	} else {
-		out, err = radiocolor.ColorGraphContext(ctx, j.adj, opt)
+		return radiocolor.ColorUnitDiskContext(ctx, j.points, j.radius, j.opt)
 	}
-	// The fault and churn seams count events on the run's own registry,
-	// not through the Observer hooks the feed above sees — fold their
-	// totals from the outcome so the streamed and scraped registries
-	// carry them too.
-	if out != nil {
-		if f := out.Faults; f != nil {
-			j.metrics.AddFaultTotals(f.Lost, f.Jammed, f.Crashes, f.Restarts)
-			s.obsReg.AddFaultTotals(f.Lost, f.Jammed, f.Crashes, f.Restarts)
-		}
-		if c := out.Churn; c != nil {
-			j.metrics.AddChurnTotals(c.Joins, c.Leaves, c.ConflictsRepaired)
-			s.obsReg.AddChurnTotals(c.Joins, c.Leaves, c.ConflictsRepaired)
-		}
-	}
-	return out, err
+	return radiocolor.ColorGraphContext(ctx, j.adj, j.opt)
 }
 
-// obsFeed fans simulation events into two metrics registries: the
-// job's own (streamed) and the server aggregate (scraped). Both are
-// atomic, so the feed is safe under Options.Workers > 1. It implements
-// radiocolor.PhaseObserver, so the registries also carry live phase
-// occupancy.
-type obsFeed struct{ a, b *obs.Metrics }
+// simTotals is the server-aggregate simulation registry /metrics
+// exports: the counters of every finished attempt plus the live
+// registries of the attempts running now. Its phase gauges therefore
+// describe only the running jobs and read 0 when the server is idle.
+type simTotals struct {
+	mu       sync.Mutex
+	finished obs.Snapshot
+	live     map[*obs.Metrics]struct{}
+}
 
-func (f obsFeed) OnSlot(int64) { f.a.AddSlot(); f.b.AddSlot() }
-func (f obsFeed) OnWake(int64, int) {
-	f.a.AddWakeup()
-	f.b.AddWakeup()
+func newSimTotals() *simTotals {
+	return &simTotals{live: make(map[*obs.Metrics]struct{})}
 }
-func (f obsFeed) OnTransmit(int64, int) {
-	f.a.AddTransmission()
-	f.b.AddTransmission()
+
+// begin returns a fresh registry for one attempt and counts it live.
+func (a *simTotals) begin() *obs.Metrics {
+	m := obs.NewMetrics()
+	a.mu.Lock()
+	a.live[m] = struct{}{}
+	a.mu.Unlock()
+	return m
 }
-func (f obsFeed) OnDeliver(int64, int, int) {
-	f.a.AddDelivery()
-	f.b.AddDelivery()
+
+// end folds a finished attempt's counters into the aggregate. Its
+// gauges are dropped: a finished run occupies no phase.
+func (a *simTotals) end(m *obs.Metrics) {
+	snap := m.Snapshot()
+	snap.PhaseNodes = [obs.NumPhases]int64{}
+	a.mu.Lock()
+	a.finished = a.finished.Add(snap)
+	delete(a.live, m)
+	a.mu.Unlock()
 }
-func (f obsFeed) OnCollision(int64, int, int) {
-	f.a.AddCollision()
-	f.b.AddCollision()
-}
-func (f obsFeed) OnDecide(int64, int) {
-	f.a.AddDecision()
-	f.b.AddDecision()
-}
-func (f obsFeed) OnPhase(_ int64, _ int, from, to string) {
-	pf, err1 := obs.ParsePhase(from)
-	pt, err2 := obs.ParsePhase(to)
-	if err1 != nil || err2 != nil {
-		return
+
+// Snapshot reads the aggregate. Holding mu across the sum keeps an
+// attempt that ends mid-scrape from being counted twice or not at all.
+func (a *simTotals) Snapshot() obs.Snapshot {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	s := a.finished
+	for m := range a.live {
+		s = s.Add(m.Snapshot())
 	}
-	f.a.PhaseChange(pf, pt)
-	f.b.PhaseChange(pf, pt)
+	return s
 }
 
 // register adds j to the runtime index, pruning the oldest terminal
@@ -910,7 +893,9 @@ var errDraining = errors.New("serve: draining")
 // errBacklogFull is the admission rejection (HTTP 429).
 type errBacklogFull struct{ queued int }
 
-func (e errBacklogFull) Error() string { return fmt.Sprintf("serve: backlog full (%d queued)", e.queued) }
+func (e errBacklogFull) Error() string {
+	return fmt.Sprintf("serve: backlog full (%d queued)", e.queued)
+}
 
 // admit persists one job record, enforcing the queued-backlog bound
 // atomically: the count check and the create are serialized so a burst

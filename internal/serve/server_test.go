@@ -548,8 +548,7 @@ func TestTopologyCacheMeasuredReuse(t *testing.T) {
 	}
 
 	// The aggregate phase gauges must return to zero once no job runs:
-	// each run seeds its node count in and subtracts its terminal
-	// occupancy back out.
+	// a finished attempt's counters are folded in, its gauges dropped.
 	snap := s.obsReg.Snapshot()
 	for p, v := range snap.PhaseNodes {
 		if v != 0 {
@@ -1109,5 +1108,109 @@ func TestTilingJob(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("tiling=-2: %d, want 400", resp.StatusCode)
+	}
+}
+
+// scrapeCounter reads one unlabelled sample from /metrics.
+func scrapeCounter(t *testing.T, ts *httptest.Server, name string) int64 {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			var n int64
+			if _, err := fmt.Sscan(v, &n); err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics scrape missing %s", name)
+	return 0
+}
+
+// lastProgress reads a finished job's stream and returns its last
+// progress sample.
+func lastProgress(t *testing.T, ts *httptest.Server, id string) *ProgressSample {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last *ProgressSample
+	dec := json.NewDecoder(resp.Body)
+	for {
+		var ev StreamEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("stream of %s ended without done: %v", id, err)
+		}
+		if ev.Type == "progress" {
+			last = ev.Progress
+		}
+		if ev.Type == "done" {
+			break
+		}
+	}
+	if last == nil {
+		t.Fatalf("stream of %s carried no progress sample", id)
+	}
+	return last
+}
+
+// TestServedCountersMatchStats pins colord's counters to the run's own.
+// A SINR medium reports collisions in aggregate, so a served SINR job
+// must show Outcome.Stats.Collisions both in its stream's last progress
+// sample and on /metrics; a second job must add to every counter.
+func TestServedCountersMatchStats(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	pts := make([][2]float64, 36)
+	for i := range pts {
+		pts[i] = [2]float64{float64(i % 6), float64(i / 6)}
+	}
+	jobs := []JobRequest{
+		{Points: pts, Radius: 1.5, Seed: 4, Medium: "sinr,alpha=4,beta=1.5,noise=-12", Metrics: true},
+		{Adjacency: ringAdjacency(16), Seed: 2, Metrics: true},
+	}
+	counters := []struct {
+		name string
+		get  func(*radiocolor.Stats) int64
+	}{
+		{"radiocolor_transmissions_total", func(st *radiocolor.Stats) int64 { return st.Transmissions }},
+		{"radiocolor_deliveries_total", func(st *radiocolor.Stats) int64 { return st.Deliveries }},
+		{"radiocolor_collisions_total", func(st *radiocolor.Stats) int64 { return st.Collisions }},
+		{"radiocolor_wakeups_total", func(st *radiocolor.Stats) int64 { return st.Wakeups }},
+		{"radiocolor_decisions_total", func(st *radiocolor.Stats) int64 { return st.Decisions }},
+		{"radiocolor_slots_total", func(st *radiocolor.Stats) int64 { return st.Slots }},
+	}
+	sums := make([]int64, len(counters))
+	for k, req := range jobs {
+		_, st := submit(t, ts, req)
+		fin := waitTerminal(t, ts, st.ID)
+		if fin.State != StateDone || fin.Outcome == nil || fin.Outcome.Stats == nil {
+			t.Fatalf("job %d: state = %s (err %q)", k, fin.State, fin.Error)
+		}
+		<-s.lookup(st.ID).done
+		stats := fin.Outcome.Stats
+		if k == 0 && stats.Collisions == 0 {
+			t.Fatal("SINR job reported no collisions")
+		}
+		for i, c := range counters {
+			sums[i] += c.get(stats)
+			if got := scrapeCounter(t, ts, c.name); got != sums[i] {
+				t.Errorf("after job %d: %s = %d, want the Outcome.Stats sum %d", k, c.name, got, sums[i])
+			}
+		}
+		if k == 0 {
+			p := lastProgress(t, ts, st.ID)
+			if p.Collisions != stats.Collisions || p.Transmissions != stats.Transmissions || p.Slots != stats.Slots {
+				t.Fatalf("last progress sample %+v, Outcome.Stats collisions %d transmissions %d slots %d",
+					p, stats.Collisions, stats.Transmissions, stats.Slots)
+			}
+		}
 	}
 }

@@ -58,10 +58,12 @@ func (e *eventStream) emit(typ string, payload any) bool {
 
 // handleStream serves GET /v1/jobs/{id}/stream: an initial "status"
 // event, periodic "progress" samples of the job's obs registry while it
-// runs, and a final "done" event carrying the full status (outcome
-// included). The format is NDJSON by default and SSE when the client
-// asks for text/event-stream; both flush per event, so a curl client
-// watches the run live.
+// runs, a closing "progress" sample of the run's final counters when
+// this replica finished it (also for a stream opened after the end),
+// and a final "done" event carrying the full status (outcome included).
+// The format is NDJSON by default and SSE when the client asks for
+// text/event-stream; both flush per event, so a curl client watches the
+// run live.
 //
 // State comes from the store, so the stream is correct even when the
 // job executes on another replica; live progress samples, though, only
@@ -84,8 +86,17 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !emit(StreamEvent{Type: "status", State: st.State}) {
 		return
 	}
+	j := s.lookup(id)
+	// done ends the stream: a closing sample of the run's final
+	// counters when this replica finished it, then the terminal status.
+	done := func(fs JobStatus) {
+		if ev := progressEvent(j); ev != nil && ev.State.Terminal() && !emit(*ev) {
+			return
+		}
+		emit(StreamEvent{Type: "done", State: fs.State, Status: &fs})
+	}
 	if st.State.Terminal() {
-		emit(StreamEvent{Type: "done", State: st.State, Status: &st})
+		done(st)
 		return
 	}
 
@@ -93,14 +104,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// never close it here, so the ticker polls the store too. A nil
 	// channel blocks forever, which is exactly the fallback we want.
 	var doneCh chan struct{}
-	j := s.lookup(id)
 	if j != nil {
 		doneCh = j.done
 	}
 	final := func() {
 		if rec, err := s.st.Get(id); err == nil {
-			fs := s.statusFromRecord(rec)
-			emit(StreamEvent{Type: "done", State: fs.State, Status: &fs})
+			done(s.statusFromRecord(rec))
 		}
 	}
 	ticker := time.NewTicker(s.cfg.StreamInterval)
@@ -128,26 +137,34 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 					doneCh = j.done
 				}
 			}
-			running := false
-			if j != nil {
-				j.mu.Lock()
-				running = j.state == StateRunning
-				j.mu.Unlock()
-			}
-			if !running {
+			ev := progressEvent(j)
+			if ev == nil {
 				// Queued, or running remotely: re-emit the bare status so
 				// the client sees liveness without a fake progress sample.
-				if !emit(StreamEvent{Type: "status", State: JobState(rec.State)}) {
-					return
-				}
-				continue
+				ev = &StreamEvent{Type: "status", State: JobState(rec.State)}
 			}
-			sample := sampleProgress(j.metrics)
-			if !emit(StreamEvent{Type: "progress", State: StateRunning, Progress: &sample}) {
+			if !emit(*ev) {
 				return
 			}
 		}
 	}
+}
+
+// progressEvent samples the registry of j's attempt while this replica
+// runs it, and of its last attempt once this replica finished the job;
+// nil otherwise (queued, run elsewhere, or a result it discarded).
+func progressEvent(j *job) *StreamEvent {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	m, state := j.metrics, j.state
+	j.mu.Unlock()
+	if m == nil || (state != StateRunning && !state.Terminal()) {
+		return nil
+	}
+	sample := sampleProgress(m)
+	return &StreamEvent{Type: "progress", State: state, Progress: &sample}
 }
 
 // sampleProgress converts an obs snapshot into the wire sample.

@@ -32,18 +32,6 @@ type Observer interface {
 	OnDecide(slot int64, node int)
 }
 
-// PhaseObserver is an optional extension of Observer: when the
-// configured Options.Observer also implements it, the run reports every
-// protocol phase transition (asleep → waiting → active → request →
-// colored, the state diagram of Fig. 2). Phase names are the stable
-// vocabulary of internal/obs; the serving layer uses this seam to keep
-// live phase-occupancy gauges per job.
-type PhaseObserver interface {
-	Observer
-	// OnPhase fires when node moves between protocol phases.
-	OnPhase(slot int64, node int, from, to string)
-}
-
 // NopObserver implements Observer ignoring all events; embed it to
 // implement a subset.
 type NopObserver struct{}

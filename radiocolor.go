@@ -266,16 +266,23 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 
 	// Observability: assemble the collectors the options ask for. All
 	// of this is nil (and the run allocation-free on the seam) when
-	// Observer, Trace and Metrics are unset.
+	// Observer, Trace and Metrics are unset and ctx carries no registry.
+	// A registry from obs.ContextWithMetrics counts this run in place of
+	// the fresh one Options.Metrics would create.
 	var (
-		met      *obs.Metrics
+		met      = obs.MetricsFromContext(ctx)
 		timeline *obs.Timeline
 		tracer   *obs.Tracer
 		sink     *os.File
 	)
 	if opt.Metrics {
-		met = obs.NewMetrics()
+		if met == nil {
+			met = obs.NewMetrics()
+		}
 		timeline = obs.NewTimeline(g.N(), 0)
+	}
+	if met != nil {
+		met.SetPhaseGauge(obs.PhaseAsleep, int64(g.N()))
 	}
 	if t := opt.Trace; t != nil {
 		w := t.W
@@ -382,35 +389,14 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	nodes, protos := core.Nodes(g.N(), opt.Seed, par, core.Ablation{})
 	// On a relabeled (tiled) run, every per-node id crossing an
 	// observability seam is mapped back to the caller's labels.
-	invNode := func(v int32) int32 { return v }
+	var inv []int32
 	if tilePerm != nil {
-		invNode = func(v int32) int32 { return tilePerm.Inverse[v] }
+		inv = tilePerm.Inverse
 	}
-	if po, ok := opt.Observer.(PhaseObserver); ok {
-		// Fan phase transitions out to both the collector and the
-		// caller's PhaseObserver (a node holds a single hook, so the
-		// collector path is inlined here instead of ObservePhases).
-		hook := func(slot int64, node int32, from, to core.Phase, class int32) {
-			node = invNode(node)
-			collector.OnPhase(slot, node, obs.Phase(from), obs.Phase(to), class)
-			po.OnPhase(slot, int(node), obs.Phase(from).String(), obs.Phase(to).String())
-		}
-		for _, v := range nodes {
-			v.SetPhaseHook(hook)
-		}
-	} else if tilePerm != nil && (met != nil || tracer != nil || timeline != nil) {
-		hook := func(slot int64, node int32, from, to core.Phase, class int32) {
-			collector.OnPhase(slot, invNode(node), obs.Phase(from), obs.Phase(to), class)
-		}
-		for _, v := range nodes {
-			v.SetPhaseHook(hook)
-		}
-	} else {
-		core.ObservePhases(nodes, collector)
-	}
+	core.ObservePhases(nodes, collector, inv)
 	engineOb := radio.Observers(radio.CollectorObserver(collector), adaptObserver(opt.Observer))
-	if tilePerm != nil && engineOb != nil {
-		engineOb = invObserver{inner: engineOb, inv: tilePerm.Inverse}
+	if inv != nil && engineOb != nil {
+		engineOb = invObserver{inner: engineOb, inv: inv}
 	}
 	cfg := radio.Config{
 		G:         runG,
@@ -494,7 +480,7 @@ func colorGraph(ctx context.Context, g *graph.Graph, pts []geom.Point, radius fl
 	out.Complete = rep.Complete && res.AllDone
 	out.NumColors = rep.NumColors
 	out.MaxColor = int(rep.MaxColor)
-	if met != nil {
+	if opt.Metrics {
 		out.Stats = buildStats(met, timeline)
 	}
 	if inj != nil || plan != nil {
